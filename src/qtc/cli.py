@@ -49,7 +49,7 @@ from .protocol import (
     haar_average,
     run_exact,
 )
-from .registers import StateVector
+from .registers import MemoryBudgetError, StateVector
 from .symmetric import Channel
 
 __all__ = ["main", "build_parser", "load_report", "config_from_report"]
@@ -404,10 +404,10 @@ def cmd_sweep(args) -> int:
             token = value
         q = float(channel.c_min**2)
         p = d * q
-        f_av = formulas.usd_average_fidelity(d, p)
+        f_av = formulas.usd_average_fidelity(d, p, args.m_copies)
         f_est = formulas.estimation_fidelity(d)
         f_opt = formulas.optimal_fidelity(d, args.m_copies)
-        above = q >= formulas.classical_threshold(d)
+        above = q >= formulas.classical_threshold(d, args.m_copies)
         run_id = _run_id({"command": "sweep", "d": d, "channel": token, "m": args.m_copies, "seed": args.seed, "index": index})
         rows.append([run_id, d, args.m_copies, token, "usd", repr(q), repr(p), repr(f_av), repr(f_est), repr(f_opt), above])
         json_rows.append(
@@ -518,7 +518,7 @@ def main(argv=None) -> int:
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (ValueError, TypeError, OSError) as exc:
+    except (ValueError, TypeError, OSError, MemoryBudgetError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

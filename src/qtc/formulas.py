@@ -209,17 +209,18 @@ def failure_fidelity_haar(channel: Channel) -> float:
     return total / p_fail
 
 
-def usd_average_fidelity(d: int, p_success: float) -> float:
-    """Overall 1->2 fidelity with unambiguous correction.
+def usd_average_fidelity(d: int, p_success: float, copies: int = 2) -> float:
+    """Overall 1->M fidelity with unambiguous correction.
 
-    p_d * (3+d)/(2+2d) + (1 - p_d)/d.
+    p_d * (2M+d-1)/(M(d+1)) + (1 - p_d)/d: the optimal fidelity on success,
+    1/d on failure.
     """
-    return p_success * (3 + d) / (2 + 2 * d) + (1 - p_success) / d
+    return p_success * (2 * copies + d - 1) / (copies * (d + 1)) + (1 - p_success) / d
 
 
-def classical_threshold(d: int) -> float:
-    """c_min^2 above which USD-corrected telecloning beats estimation: 2/(d(d+2))."""
-    return 2 / (d * (d + 2))
+def classical_threshold(d: int, copies: int = 2) -> float:
+    """c_min^2 above which USD-corrected 1->M telecloning beats estimation: M/(d(M+d))."""
+    return copies / (d * (copies + d))
 
 
 def min_error_fidelity_m(alpha, channel: Channel, m: int) -> float:

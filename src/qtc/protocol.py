@@ -15,9 +15,12 @@ C1..CM:
   2 d^2 for the filter strategies.
 
 Every branch is enumerated exactly; zero-probability branches are kept and
-flagged rather than dropped, so report schemas are deterministic. Monte
-Carlo sampling and Haar-input averaging are layered on top of the exact
-branch distribution.
+flagged rather than dropped, so report schemas are deterministic. The
+engine runs on inputs stacked as columns and yields unnormalized branch
+blocks; a single finishing step turns a block into probability, fidelities
+and post-state. Monte Carlo sampling is layered on top of the exact branch
+distribution; Haar-input averaging compiles each branch's linear map once
+and evaluates all samples with batched products.
 """
 
 from __future__ import annotations
@@ -65,6 +68,8 @@ __all__ = [
 ]
 
 COMPARE_TOL = 1e-8
+# amplitudes per batch of Haar samples, which bounds the evaluation's working set
+HAAR_CHUNK = 1 << 12
 
 
 @dataclass(frozen=True, eq=False)
@@ -180,11 +185,10 @@ def _apply_on(mat: np.ndarray, arr: np.ndarray, axes: Sequence[int]) -> np.ndarr
     return np.moveaxis(out, range(k), axes)
 
 
-def _measure_axis(arr: np.ndarray, axis: int) -> list[tuple[int, float, np.ndarray]]:
-    moved = np.moveaxis(arr, axis, 0)
-    flat = moved.reshape(moved.shape[0], -1)
-    probs = np.einsum("ij,ij->i", flat, flat.conj()).real
-    return [(k, float(probs[k]), moved[k]) for k in range(moved.shape[0])]
+def _column_norms(arr: np.ndarray) -> np.ndarray:
+    """Squared norm of each input column (the trailing axis)."""
+    flat = arr.reshape(-1, arr.shape[-1])
+    return np.einsum("ik,ik->k", flat, flat.conj()).real
 
 
 def _clone_fidelity(psi: np.ndarray, arr: np.ndarray, axis: int) -> float:
@@ -205,6 +209,7 @@ class _Context:
         self.chan_amps = channel_state(config.channel, m_copies).amps
         self.n_slots = 2 * m_copies + 1
         check_memory(d**self.n_slots)
+        self.ac_shape = (d,) * (2 * m_copies - 1)
         self.anc_axes_ac = tuple(range(m_copies - 1))
         self.clone_axes_ac = tuple(range(m_copies - 1, 2 * m_copies - 1))
         self.recon = {}
@@ -243,6 +248,7 @@ class _Context:
                 "separation": ("success", "fail"),
                 "maxconf": ("success", "inconclusive"),
             }.get(kind)
+            self.plain_flag = "guess" if kind == "minerror" else None
 
     def reconstruct(self, arr: np.ndarray, n: int, m: int) -> np.ndarray:
         ua, uc = self.recon[(n, m)]
@@ -252,94 +258,81 @@ class _Context:
             arr = _apply_on(uc, arr, (ax,))
         return arr
 
+    def entangle(self, cols: np.ndarray) -> np.ndarray:
+        """Inputs (d, K) on X times the channel on P, A, C: shape (d,)*n_slots + (K,)."""
+        check_memory(self.chan_amps.size * cols.size)
+        full = cols[:, None, :] * self.chan_amps[None, :, None]
+        return full.reshape((self.d,) * self.n_slots + (cols.shape[1],))
 
-def _branch(ctx: _Context, psi: np.ndarray, m: int, n, flag, prob, arr, keep: bool) -> BranchResult:
-    if arr is None or prob < PROB_FLOOR:
-        return BranchResult(m, n, flag, max(prob, 0.0), None, True)
+
+# An engine pass maps K inputs stacked as columns to unnormalized branch
+# blocks: one ((m, n, flag), block) pair per branch, block shaped
+# ac_shape + (K,). Every step is linear in the input, so zero amplitudes
+# simply flow through, and the blocks of a pass on the d basis columns are
+# the branches' linear maps.
+
+
+def _run_bell(ctx: _Context, cols: np.ndarray) -> list[tuple[tuple, np.ndarray]]:
+    d = ctx.d
+    coeffs = ctx.bell_mat @ ctx.entangle(cols).reshape(d * d, -1)
+    block_shape = ctx.ac_shape + (cols.shape[1],)
+    return [
+        ((m, n, None), ctx.reconstruct(row.reshape(block_shape), n, m))
+        for (n, m), row in zip(ctx.bell_order, coeffs)
+    ]
+
+
+def _readout(ctx: _Context, m: int, flag, arr: np.ndarray, correct: bool) -> list[tuple[tuple, np.ndarray]]:
+    """Inverse Fourier on P (axis 0), split on its outcome n, then reconstruct (or not)."""
+    arr = _apply_on(ctx.fourier_inv, arr, (0,))
+    return [
+        ((m, n, flag), ctx.reconstruct(arr[n], n, m) if correct else arr[n])
+        for n in range(ctx.d)
+    ]
+
+
+def _run_gxor(ctx: _Context, cols: np.ndarray) -> list[tuple[tuple, np.ndarray]]:
+    d = ctx.d
+    arr = _apply_on(ctx.gxor_mat, ctx.entangle(cols), (1, 0))  # control P, target X
+    blocks = []
+    for m in range(d):
+        sub = arr[m]
+        if ctx.flag_names is None:
+            blocks += _readout(ctx, m, ctx.plain_flag, sub, correct=True)
+            continue
+        # reattach the measured X register as the strategy's flag
+        staged = np.zeros((d,) + sub.shape, dtype=np.complex128)
+        staged[m] = sub
+        staged = _apply_on(ctx.flag_unitaries[m], staged, (1, 0))  # acts on P (x) X
+        flags = (m, (m + 1) % d)
+        leak = sum(_column_norms(staged[x]) for x in range(d) if x not in flags)
+        if np.any(leak > 1e-12 * _column_norms(sub)):
+            raise AssertionError(f"flag register leaked probability {np.max(leak)}")
+        for flag, x in zip(ctx.flag_names, flags):
+            blocks += _readout(ctx, m, flag, staged[x], correct=flag == ctx.flag_names[0])
+    return blocks
+
+
+def _branch(ctx: _Context, psi: np.ndarray, key: tuple, block: np.ndarray, keep: bool) -> BranchResult:
+    """Finish one branch of one input from its unnormalized block (shape ac_shape)."""
+    m, n, flag = key
+    prob = float(np.vdot(block, block).real)
+    if prob < PROB_FLOOR:
+        return BranchResult(m, n, flag, prob, None, True)
+    arr = block / math.sqrt(prob)
     fids = tuple(_clone_fidelity(psi, arr, ax) for ax in ctx.clone_axes_ac)
     state = marg = None
     if keep:
-        dims = (ctx.d,) * (2 * ctx.copies - 1)
-        state = StateVector(dims, ctx.ac_labels, arr.reshape(-1))
+        state = StateVector(ctx.ac_shape, ctx.ac_labels, arr.reshape(-1))
         moved = np.moveaxis(arr, ctx.clone_axes_ac[0], 0)
         flat = moved.reshape(ctx.d, -1)
         marg = DensityMatrix((ctx.d,), (ctx.ac_labels[ctx.copies - 1],), flat @ flat.conj().T)
     return BranchResult(m, n, flag, prob, fids, False, state, marg)
 
 
-def _run_bell(ctx: _Context, psi: np.ndarray, keep: bool) -> list[BranchResult]:
-    d = ctx.d
-    full = np.kron(psi, ctx.chan_amps)
-    coeffs = ctx.bell_mat @ full.reshape(d * d, -1)
-    probs = np.einsum("ij,ij->i", coeffs, coeffs.conj()).real
-    branches = []
-    ac_shape = (d,) * (2 * ctx.copies - 1)
-    for (n, m), p, row in zip(ctx.bell_order, probs, coeffs):
-        p = float(p)
-        if p < PROB_FLOOR:
-            branches.append(_branch(ctx, psi, m, n, None, p, None, keep))
-            continue
-        arr = (row / math.sqrt(p)).reshape(ac_shape)
-        arr = ctx.reconstruct(arr, n, m)
-        branches.append(_branch(ctx, psi, m, n, None, p, arr, keep))
-    return branches
-
-
-def _readout_and_reconstruct(ctx, psi, m, flag, base_prob, arr, keep, correct: bool):
-    """Inverse Fourier on P (axis 0), measure it, then reconstruct (or not)."""
-    out = []
-    arr = _apply_on(ctx.fourier_inv, arr, (0,))
-    for n, pn, sub in _measure_axis(arr, 0):
-        joint = base_prob * pn
-        if pn < PROB_FLOOR or joint < PROB_FLOOR:
-            out.append(_branch(ctx, psi, m, n, flag, joint, None, keep))
-            continue
-        sub = sub / math.sqrt(pn)
-        post = ctx.reconstruct(sub, n, m) if correct else sub
-        out.append(_branch(ctx, psi, m, n, flag, joint, post, keep))
-    return out
-
-
-def _run_gxor(ctx: _Context, psi: np.ndarray, keep: bool) -> list[BranchResult]:
-    d = ctx.d
-    kind = ctx.config.strategy.kind
-    full = np.kron(psi, ctx.chan_amps).reshape((d,) * ctx.n_slots)
-    arr = _apply_on(ctx.gxor_mat, full, (1, 0))  # control P, target X
-    branches = []
-    for m, pm, sub in _measure_axis(arr, 0):
-        if pm < PROB_FLOOR:
-            if ctx.flag_names is None:
-                branches += [_branch(ctx, psi, m, n, "guess" if kind == "minerror" else None, 0.0, None, keep) for n in range(d)]
-            else:
-                for flag in ctx.flag_names:
-                    branches += [_branch(ctx, psi, m, n, flag, 0.0, None, keep) for n in range(d)]
-            continue
-        sub = sub / math.sqrt(pm)
-        if ctx.flag_names is None:
-            flag = "guess" if kind == "minerror" else None
-            branches += _readout_and_reconstruct(ctx, psi, m, flag, pm, sub, keep, True)
-            continue
-        # reattach the measured X register as the strategy's flag
-        staged = np.zeros((d,) + sub.shape, dtype=np.complex128)
-        staged[m] = sub
-        staged = _apply_on(ctx.flag_unitaries[m], staged, (1, 0))  # acts on P (x) X
-        flag_branches = dict(
-            (x, (px, fsub)) for x, px, fsub in _measure_axis(staged, 0)
-        )
-        leak = sum(px for x, (px, _) in flag_branches.items() if x not in (m, (m + 1) % d))
-        if leak > 1e-12:
-            raise AssertionError(f"flag register leaked probability {leak}")
-        for flag, x in zip(ctx.flag_names, (m, (m + 1) % d)):
-            px, fsub = flag_branches[x]
-            if px < PROB_FLOOR:
-                branches += [_branch(ctx, psi, m, n, flag, 0.0, None, keep) for n in range(d)]
-                continue
-            fsub = fsub / math.sqrt(px)
-            success = flag == ctx.flag_names[0]
-            branches += _readout_and_reconstruct(
-                ctx, psi, m, flag, pm * px, fsub, keep, correct=success
-            )
-    return branches
+def _engine(ctx: _Context, cols: np.ndarray) -> list[tuple[tuple, np.ndarray]]:
+    runner = _run_bell if ctx.config.flow == "bell" else _run_gxor
+    return runner(ctx, cols)
 
 
 def _assemble(config, input_state, branches) -> RunReport:
@@ -375,8 +368,12 @@ def run_exact(config: ProtocolConfig, input_state: StateVector | None = None, *,
     """Enumerate every protocol branch exactly for one input state."""
     state = _resolve_input(config, input_state)
     ctx = _Context(config)
-    runner = _run_bell if config.flow == "bell" else _run_gxor
-    return _assemble(config, state, runner(ctx, state.amps, keep_states))
+    psi = state.amps
+    branches = [
+        _branch(ctx, psi, key, block[..., 0], keep_states)
+        for key, block in _engine(ctx, psi[:, None])
+    ]
+    return _assemble(config, state, branches)
 
 
 def clone_marginal(branch: BranchResult, clone_index: int = 0) -> DensityMatrix:
@@ -413,68 +410,77 @@ def monte_carlo(config: ProtocolConfig, samples: int, seed: int, input_state: St
     return replace(report, sampling=stats)
 
 
+def _haar_inputs(spec: HaarSpec, d: int) -> np.ndarray:
+    """The inputs of ``spec`` as columns: sample i is drawn from ``default_rng([seed, i])``."""
+    return np.stack(
+        [haar_random_state(d, np.random.default_rng([spec.seed, i])).amps for i in range(spec.samples)],
+        axis=1,
+    )
+
+
+def _stats(vals: np.ndarray) -> tuple[float, float]:
+    sem = float(vals.std(ddof=1) / math.sqrt(len(vals))) if len(vals) > 1 else 0.0
+    return float(vals.mean()), sem
+
+
 def haar_average(config: ProtocolConfig) -> RunReport:
     """Average the exact protocol over Haar-random inputs.
 
-    Per-sample seeds derive from (seed, sample index), so results do not
-    depend on how the loop might be split across workers. Branch entries
-    carry mean probabilities and probability-weighted mean fidelities;
-    class statistics are means with standard errors over per-sample
-    conditional fidelities.
+    The configuration is compiled once: an engine pass on the d basis
+    inputs gives each branch's linear map L_b from the input to its
+    unnormalized post-state. Each sample psi then costs only batched
+    products: the branch probability is |L_b psi|^2 and the
+    probability-weighted clone-1 fidelity is the squared norm of L_b psi
+    contracted with psi* on C1. Sample i is drawn from
+    ``default_rng([seed, i])``, so results do not depend on how the samples
+    might be split. Branch entries carry mean probabilities and
+    probability-weighted mean fidelities; class statistics are means with
+    standard errors over per-sample conditional fidelities.
     """
     spec = config.input_spec
     if not isinstance(spec, HaarSpec):
         raise TypeError("haar_average needs a HaarSpec input in the configuration")
+    d = config.d
     ctx = _Context(config)
-    runner = _run_bell if config.flow == "bell" else _run_gxor
-    template: list[BranchResult] | None = None
-    prob_sums = fid_sums = None
-    overall: list[float] = []
-    by_class: dict[str, list[float]] = {}
-    for i in range(spec.samples):
-        rng = np.random.default_rng([spec.seed, i])
-        psi = haar_random_state(config.d, rng)
-        branches = runner(ctx, psi.amps, False)
-        if template is None:
-            template = branches
-            prob_sums = np.zeros(len(branches))
-            fid_sums = np.zeros(len(branches))
-        avg = 0.0
-        class_acc: dict[str, list[float]] = {}
-        for j, b in enumerate(branches):
-            prob_sums[j] += b.probability
-            if b.zero:
-                continue
-            f = b.clone_fidelities[0]
-            fid_sums[j] += b.probability * f
-            avg += b.probability * f
-            if b.flag is not None:
-                acc = class_acc.setdefault(b.flag, [0.0, 0.0])
-                acc[0] += b.probability
-                acc[1] += b.probability * f
-        overall.append(avg)
-        for flag, (mass, wsum) in class_acc.items():
-            if mass > PROB_FLOOR:
-                by_class.setdefault(flag, []).append(wsum / mass)
+    compiled = _engine(ctx, np.eye(d, dtype=np.complex128))
+    keys = [key for key, _ in compiled]
+    maps = np.stack([block.reshape(-1, d) for _, block in compiled])  # (branch, AC, input)
+    deviation = np.max(np.abs(np.einsum("bxj,bxk->jk", maps.conj(), maps) - np.eye(d)))
+    if deviation > DEFAULT_ATOL:
+        raise AssertionError(f"sum of L_b^dag L_b deviates from the identity by {deviation!r}")
+    # ancillas A1..A(M-1), then C1, then C2..CM
+    side = d ** (config.copies - 1)
+    maps = maps.reshape(len(keys), side, d, side, d)
+
+    psis = _haar_inputs(spec, d)
+    probs = np.empty((len(keys), spec.samples))
+    weighted = np.empty_like(probs)
+    step = max(1, HAAR_CHUNK // maps[..., 0].size)
+    for lo in range(0, spec.samples, step):
+        cols = psis[:, lo : lo + step]
+        amps = np.einsum("bacrj,jn->bacrn", maps, cols)
+        probs[:, lo : lo + step] = np.einsum("bacrn,bacrn->bn", amps, amps.conj()).real
+        c1 = np.einsum("bacrn,cn->barn", amps, cols.conj())
+        weighted[:, lo : lo + step] = np.einsum("barn,barn->bn", c1, c1.conj()).real
+    zero = probs < PROB_FLOOR
+    weighted[zero] = 0.0
+    live_probs = np.where(zero, 0.0, probs)
 
     n = spec.samples
     mean_branches = []
-    for j, b in enumerate(template):
-        p = prob_sums[j] / n
-        f = (fid_sums[j] / prob_sums[j],) if prob_sums[j] > PROB_FLOOR else None
-        mean_branches.append(
-            BranchResult(b.m, b.n, b.flag, float(p), f, f is None)
-        )
-    def _stats(vals):
-        v = np.asarray(vals)
-        sem = float(v.std(ddof=1) / math.sqrt(len(v))) if len(v) > 1 else 0.0
-        return float(v.mean()), sem
+    for (m, b_n, flag), p_sum, f_sum in zip(keys, probs.sum(axis=1), weighted.sum(axis=1)):
+        f = (float(f_sum / p_sum),) if p_sum > PROB_FLOOR else None
+        mean_branches.append(BranchResult(m, b_n, flag, float(p_sum / n), f, f is None))
 
-    o_mean, o_sem = _stats(overall)
-    class_stats = {
-        flag: dict(zip(("mean", "stderr", "samples"), (*_stats(vals), len(vals))))
-        for flag, vals in by_class.items()
-    }
+    o_mean, o_sem = _stats(weighted.sum(axis=0))
+    class_stats = {}
+    for flag in dict.fromkeys(flag for _, _, flag in keys if flag is not None):
+        rows = [j for j, key in enumerate(keys) if key[2] == flag]
+        mass = live_probs[rows].sum(axis=0)
+        kept = mass > PROB_FLOOR
+        if np.any(kept):
+            vals = weighted[rows].sum(axis=0)[kept] / mass[kept]
+            class_stats[flag] = dict(zip(("mean", "stderr", "samples"), (*_stats(vals), len(vals))))
     stats = HaarStats(n, spec.seed, o_mean, o_sem, class_stats)
     cond = {
         flag: {"probability": float("nan"), "fidelity": cs["mean"]}

@@ -82,19 +82,33 @@ def symmetric_basis(d: int, copies: int) -> SymBasis:
     check_memory(size * d**copies)
     labels = tuple(f"S{i}" for i in range(1, copies + 1))
     dims = (d,) * copies
-    radix = [d**k for k in range(copies - 1, -1, -1)]
-    multisets = []
-    states = []
-    for ms in itertools.combinations_with_replacement(range(d), copies):
-        arrangements = set(itertools.permutations(ms))
-        amp = 1.0 / math.sqrt(len(arrangements))
-        vec = np.zeros(d**copies, dtype=np.complex128)
-        for arr in arrangements:
-            vec[sum(a * r for a, r in zip(arr, radix))] = amp
-        multisets.append(ms)
-        states.append(StateVector(dims, labels, vec))
-    assert len(states) == size
-    return SymBasis(d, copies, tuple(multisets), tuple(states))
+    # occupation numbers of every basis index, first digit most significant
+    eye = np.eye(d, dtype=np.min_scalar_type(copies))
+    occupation = np.zeros((1, d), dtype=eye.dtype)
+    for _ in range(copies):
+        occupation = (occupation[:, None, :] + eye[None, :, :]).reshape(-1, d)
+    # group equal occupations; the lexicographic order of sorted multisets is
+    # the descending order of their occupations
+    order = np.lexsort(occupation.T[::-1])
+    ordered = occupation[order]
+    starts = np.ones(len(order), dtype=bool)
+    starts[1:] = np.any(ordered[1:] != ordered[:-1], axis=1)
+    distinct = ordered[starts][::-1]
+    assert len(distinct) == size
+    rank = np.empty(len(order), dtype=np.intp)
+    rank[order] = size - np.cumsum(starts)
+    # a multiset with occupations n_v has M! / prod(n_v!) distinct arrangements
+    amps = np.array(
+        [
+            1.0 / math.sqrt(math.factorial(copies) // math.prod(math.factorial(int(k)) for k in occ))
+            for occ in distinct
+        ]
+    )
+    vecs = np.zeros((size, d**copies), dtype=np.complex128)
+    vecs[rank, np.arange(d**copies)] = amps[rank]
+    multisets = tuple(itertools.combinations_with_replacement(range(d), copies))
+    states = tuple(StateVector(dims, labels, vec) for vec in vecs)
+    return SymBasis(d, copies, multisets, states)
 
 
 @dataclass(frozen=True, eq=False)

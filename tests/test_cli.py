@@ -197,6 +197,18 @@ class TestSweep:
         assert code == 1
         assert "--channel" in err
 
+    def test_three_copies_use_the_m_copy_forms(self, capsys):
+        code, out, err = run_cli(
+            capsys, "sweep", "--d", "2", "--m-copies", "3", "--channel", "cmin2=[0.27]",
+            "--format", "json",
+        )
+        assert code == 0
+        (row,) = json.loads(out)["rows"]
+        # 0.54 * F_opt(2, 3) + 0.46 / 2, and the threshold is M/(d(M+d)) = 0.3
+        assert row["f_av"] == pytest.approx(0.65, abs=1e-12)
+        assert row["f_av"] < row["f_est"]
+        assert row["above_threshold"] is False
+
 
 class TestHaar:
     ARGS = [
@@ -302,6 +314,15 @@ class TestErrors:
         )
         assert code == 1
         assert "--out" in err
+
+    @pytest.mark.parametrize("command,extra", [("simulate", ()), ("haar", ("--input", "haar:1:10"))])
+    def test_memory_budget_exits_one(self, capsys, monkeypatch, command, extra):
+        monkeypatch.setenv("QTC_MEM_BUDGET", "1000")
+        code, out, err = run_cli(capsys, command, "--d", "3", "--m-copies", "3", *extra)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "QTC_MEM_BUDGET" in err
 
     def test_version_flag(self, capsys):
         assert main(["--version"]) == 0

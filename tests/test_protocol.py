@@ -14,6 +14,7 @@ from qtc import (
     run_exact,
 )
 from qtc import formulas as fm
+from qtc import protocol
 from qtc.discrimination import RankDeficientChannelError, Strategy
 from qtc.registers import MemoryBudgetError, StateVector, haar_random_state
 from qtc.symmetric import Channel
@@ -382,6 +383,106 @@ class TestHaarAverage:
         cfg = ProtocolConfig(channel=CHAN82, input_spec=state([1, 0]))
         with pytest.raises(TypeError, match="HaarSpec"):
             haar_average(cfg)
+
+
+def reference_haar(cfg, spec):
+    """Per-sample ``run_exact`` loop over the inputs of ``spec``, aggregated as a Haar report."""
+    prob_sums = fid_sums = keys = None
+    overall, by_class = [], {}
+    for i in range(spec.samples):
+        psi = haar_random_state(cfg.d, np.random.default_rng([spec.seed, i]))
+        branches = run_exact(cfg, psi, keep_states=False).branches
+        if keys is None:
+            keys = [(b.m, b.n, b.flag) for b in branches]
+            prob_sums, fid_sums = np.zeros(len(keys)), np.zeros(len(keys))
+        avg, classes = 0.0, {}
+        for j, b in enumerate(branches):
+            prob_sums[j] += b.probability
+            if b.zero:
+                continue
+            fid_sums[j] += b.probability * b.clone_fidelities[0]
+            avg += b.probability * b.clone_fidelities[0]
+            if b.flag is not None:
+                acc = classes.setdefault(b.flag, [0.0, 0.0])
+                acc[0] += b.probability
+                acc[1] += b.probability * b.clone_fidelities[0]
+        overall.append(avg)
+        for flag, (mass, wsum) in classes.items():
+            if mass > 1e-14:
+                by_class.setdefault(flag, []).append(wsum / mass)
+
+    def stats(vals):
+        v = np.asarray(vals)
+        return v.mean(), (v.std(ddof=1) / np.sqrt(v.size) if v.size > 1 else 0.0), v.size
+
+    branches = [
+        (key, p / spec.samples, f / p if p > 1e-14 else None)
+        for key, p, f in zip(keys, prob_sums, fid_sums)
+    ]
+    return branches, np.mean(overall), {flag: stats(v) for flag, v in by_class.items()}
+
+
+class TestHaarAgainstRunExact:
+    """Compiled per-branch maps against a loop of exact runs on the same inputs."""
+
+    RANK2 = Channel(np.sqrt([0.5, 0.5, 0.0]))  # never inconclusive: zero branches
+
+    @pytest.mark.parametrize(
+        "chan,copies,flow,strategy",
+        [
+            (CHAN82, 2, "bell", Strategy.none()),
+            (Channel.maximal(3), 2, "bell", Strategy.none()),
+            (CHAN82, 3, "bell", Strategy.none()),
+            (CHAN532, 2, "gxor", Strategy.none()),
+            (CHAN82, 3, "gxor", Strategy.min_error()),
+            (CHAN532, 2, "gxor", Strategy.usd()),
+            (Channel.maximal(2), 3, "gxor", Strategy.usd()),
+            (CHAN82, 2, "gxor", Strategy.separation(Channel.maximal(2))),
+            (CHAN532, 2, "gxor", Strategy.separation(Channel(np.sqrt([0.4, 0.35, 0.25])))),
+            (RANK2, 2, "gxor", Strategy.max_confidence()),
+        ],
+        ids=["bell", "bell-maximal", "bell-M3", "gxor-none", "minerror-M3", "usd",
+             "usd-maximal-M3", "sep-maximal", "sep-partial", "maxconf-rank2"],
+    )
+    def test_matches_reference_loop(self, chan, copies, flow, strategy):
+        spec = HaarSpec(seed=11, samples=25)
+        cfg = ProtocolConfig(
+            channel=chan, copies=copies, flow=flow, strategy=strategy, input_spec=spec
+        )
+        rep = haar_average(cfg)
+        want_branches, want_mean, want_classes = reference_haar(cfg, spec)
+        assert [(b.m, b.n, b.flag) for b in rep.branches] == [k for k, _, _ in want_branches]
+        for b, (_, p, f) in zip(rep.branches, want_branches):
+            assert abs(b.probability - p) < 1e-12
+            assert b.zero == (f is None)
+            if f is not None:
+                assert abs(b.clone_fidelities[0] - f) < 1e-12
+        assert abs(rep.haar.overall_mean - want_mean) < 1e-12
+        assert set(rep.haar.class_stats) == set(want_classes)
+        for flag, (mean, sem, count) in want_classes.items():
+            got = rep.haar.class_stats[flag]
+            assert got["samples"] == count
+            assert abs(got["mean"] - mean) < 1e-12
+            assert abs(got["stderr"] - sem) < 1e-12
+
+    def test_rejects_maps_that_lose_probability(self, monkeypatch):
+        engine = protocol._engine
+        monkeypatch.setattr(
+            protocol, "_engine", lambda ctx, cols: [(k, 0.9 * b) for k, b in engine(ctx, cols)]
+        )
+        with pytest.raises(AssertionError, match="identity"):
+            haar_average(ProtocolConfig(channel=CHAN82, input_spec=HaarSpec(seed=1, samples=3)))
+
+    def test_zero_branches_covered(self):
+        for chan, copies, strategy in (
+            (self.RANK2, 2, Strategy.max_confidence()),
+            (Channel.maximal(2), 3, Strategy.usd()),
+        ):
+            cfg = ProtocolConfig(
+                channel=chan, copies=copies, flow="gxor", strategy=strategy,
+                input_spec=HaarSpec(seed=11, samples=5),
+            )
+            assert any(b.zero for b in haar_average(cfg).branches)
 
 
 class TestComparisons:

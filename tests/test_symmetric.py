@@ -51,6 +51,27 @@ class TestSymmetricBasis:
             for perm in itertools.permutations(range(m)):
                 assert np.max(np.abs(np.transpose(arr, perm) - arr)) < 1e-12
 
+    def test_bit_identical_to_permutation_construction(self):
+        # the construction that enumerated every permutation of each multiset
+        def by_permutations(d, copies):
+            radix = [d**k for k in range(copies - 1, -1, -1)]
+            out = []
+            for ms in itertools.combinations_with_replacement(range(d), copies):
+                arrangements = set(itertools.permutations(ms))
+                vec = np.zeros(d**copies, dtype=np.complex128)
+                for arr in arrangements:
+                    vec[sum(a * r for a, r in zip(arr, radix))] = 1.0 / math.sqrt(len(arrangements))
+                out.append((ms, vec))
+            return out
+
+        for d in range(2, 5):
+            for m in range(1, 6):
+                basis = symmetric_basis(d, m)
+                want = by_permutations(d, m)
+                assert basis.multisets == tuple(ms for ms, _ in want)
+                for s, (_, vec) in zip(basis.states, want):
+                    assert np.array_equal(s.amps, vec)
+
     def test_matches_oracle(self):
         for d, m in [(2, 2), (3, 2), (2, 3)]:
             ours = [s.amps for s in symmetric_basis(d, m).states]
