@@ -13,7 +13,6 @@ from .registers import (
     StateVector,
     apply,
     basis_state,
-    complete_unitary,
     fidelity,
     haar_random_state,
     measure_projective,
@@ -80,7 +79,6 @@ __all__ = [
     "clone_basis",
     "clone_marginal",
     "compare_to_formulas",
-    "complete_unitary",
     "fidelity",
     "formulas",
     "fourier",

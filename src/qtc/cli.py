@@ -268,7 +268,7 @@ def _report_json(run_id: str, cfg: dict, report: RunReport, extra: dict | None =
     if extra:
         results.update(extra)
     doc = {"version": __version__, "run_id": run_id, "config": cfg, "results": results}
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    return json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
 def _write(out_path: str | None, text: str) -> None:
@@ -321,7 +321,7 @@ def cmd_simulate(args) -> int:
     config = _build_config(args)
     if isinstance(config.input_spec, HaarSpec):
         raise CliError("--input: simulate needs explicit amplitudes; use the haar command")
-    report = compare_to_formulas(run_exact(config), args.tol)
+    report = compare_to_formulas(run_exact(config, keep_states=False), args.tol)
     cfg = _config_dict(args, config)
     run_id = _run_id(cfg)
     if args.format == "json":
@@ -343,7 +343,7 @@ def _haar_bands(config: ProtocolConfig, report: RunReport) -> list[dict]:
             "class": name,
             "mean": mean,
             "stderr": stderr,
-            "target": target,
+            "target": float(target),
             "within_3sigma": bool(abs(mean - target) <= width),
         }
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bell import fourier, omega_powers, symmetric_states
-from .registers import Operator, StateVector, basis_state, complete_unitary
+from .registers import Operator, StateVector
 from .symmetric import Channel
 
 __all__ = [
@@ -97,17 +97,26 @@ def usd_kraus(channel: Channel) -> KrausPair:
 def filter_unitary(pair: KrausPair, d: int, flag: int = 0) -> Operator:
     """Unitary on P (x) X dilating the filter with X as the success flag.
 
-    Prescribes |k>|flag> -> A_s|k> (x) |flag> + A_f|k> (x) |flag+1> for every
-    support index k and completes the rest of the space.
+    Maps |k>|flag> -> A_s|k> (x) |flag> + A_f|k> (x) |flag+1> for every
+    support index k. The pair is diagonal, so with a = A_s[k, k] and
+    b = A_f[k, k] the dilation is the rotation [[a, -b*], [b, a*]] on
+    span{|k, flag>, |k, flag+1>} for each k, and the identity elsewhere.
     """
-    prescribed = []
-    for k in pair.support:
-        src = StateVector((d, d), ("P", "X"), np.kron(basis_state(d, k).amps, basis_state(d, flag).amps))
-        out = np.kron(pair.success.matrix[:, k], basis_state(d, flag).amps) + np.kron(
-            pair.fail.matrix[:, k], basis_state(d, (flag + 1) % d).amps
-        )
-        prescribed.append((src, StateVector((d, d), ("P", "X"), out)))
-    return complete_unitary(prescribed)
+    s, f = pair.success.matrix, pair.fail.matrix
+    if np.any(s - np.diag(np.diag(s))) or np.any(f - np.diag(np.diag(f))):
+        raise ValueError("filter dilation needs diagonal Kraus operators")
+    defect = pair.completeness_defect()
+    if defect > 1e-12:
+        raise ValueError(f"Kraus pair is incomplete (defect {defect:.3e}); no unitary dilation exists")
+    k = np.array(pair.support, dtype=np.intp)
+    a, b = s[k, k], f[k, k]
+    keep, flip = k * d + flag % d, k * d + (flag + 1) % d
+    u = np.eye(d * d, dtype=np.complex128)
+    u[keep, keep] = a
+    u[flip, keep] = b
+    u[keep, flip] = -b.conj()
+    u[flip, flip] = a.conj()
+    return Operator.square(u, (d, d))
 
 
 def usd_unitary(channel: Channel, flag: int = 0) -> Operator:

@@ -46,7 +46,6 @@ from .registers import (
     DensityMatrix,
     StateVector,
     check_memory,
-    haar_random_state,
     partial_trace,
 )
 from .symmetric import Channel, ancilla_labels, channel_state, clone_labels
@@ -98,6 +97,11 @@ class ProtocolConfig:
             raise ValueError(f"unknown reconstruction variant {self.recon_variant!r}")
         if self.flow == "bell" and self.strategy.kind != "none":
             raise ValueError("the Bell-measurement flow takes no discrimination strategy")
+        target = self.strategy.target
+        if target is not None and target.d != self.channel.d:
+            raise ValueError(
+                f"separation target has dimension {target.d} but the channel has d={self.channel.d}"
+            )
 
     @property
     def d(self) -> int:
@@ -411,11 +415,17 @@ def monte_carlo(config: ProtocolConfig, samples: int, seed: int, input_state: St
 
 
 def _haar_inputs(spec: HaarSpec, d: int) -> np.ndarray:
-    """The inputs of ``spec`` as columns: sample i is drawn from ``default_rng([seed, i])``."""
-    return np.stack(
-        [haar_random_state(d, np.random.default_rng([spec.seed, i])).amps for i in range(spec.samples)],
-        axis=1,
-    )
+    """The inputs of ``spec`` as columns: sample i is drawn from ``default_rng([seed, i])``.
+
+    Each draw is ``haar_random_state``'s: d normals for the real parts, then
+    d for the imaginary parts, normalized.
+    """
+    psis = np.empty((d, spec.samples), dtype=np.complex128)
+    for i in range(spec.samples):
+        rng = np.random.default_rng([spec.seed, i])
+        z = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+        psis[:, i] = z / np.linalg.norm(z)
+    return psis
 
 
 def _stats(vals: np.ndarray) -> tuple[float, float]:
@@ -435,7 +445,8 @@ def haar_average(config: ProtocolConfig) -> RunReport:
     ``default_rng([seed, i])``, so results do not depend on how the samples
     might be split. Branch entries carry mean probabilities and
     probability-weighted mean fidelities; class statistics are means with
-    standard errors over per-sample conditional fidelities.
+    standard errors over per-sample conditional fidelities, and each
+    class's conditional average pairs its mean mass with that mean.
     """
     spec = config.input_spec
     if not isinstance(spec, HaarSpec):
@@ -483,7 +494,10 @@ def haar_average(config: ProtocolConfig) -> RunReport:
             class_stats[flag] = dict(zip(("mean", "stderr", "samples"), (*_stats(vals), len(vals))))
     stats = HaarStats(n, spec.seed, o_mean, o_sem, class_stats)
     cond = {
-        flag: {"probability": float("nan"), "fidelity": cs["mean"]}
+        flag: {
+            "probability": sum(b.probability for b in mean_branches if b.flag == flag),
+            "fidelity": cs["mean"],
+        }
         for flag, cs in class_stats.items()
     }
     return RunReport(config, None, tuple(mean_branches), o_mean, cond, haar=stats)

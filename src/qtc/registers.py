@@ -24,7 +24,6 @@ __all__ = [
     "StateVector",
     "apply",
     "basis_state",
-    "complete_unitary",
     "fidelity",
     "haar_random_state",
     "measure_projective",
@@ -362,90 +361,6 @@ def fidelity(psi: StateVector, rho: DensityMatrix | StateVector) -> float:
     if val < -DEFAULT_ATOL or val > 1.0 + DEFAULT_ATOL:
         raise ValueError(f"fidelity {val!r} outside [0, 1]")
     return float(min(1.0, max(0.0, val)))
-
-
-def _mgs_insert(q_list: list[np.ndarray], vec: np.ndarray, companions=None):
-    """Modified Gram-Schmidt step with one re-orthogonalization pass.
-
-    Returns the residual (not normalized) after projecting out q_list; the
-    same coefficients are subtracted from the companion vector when given.
-    """
-    u = vec.astype(np.complex128).copy()
-    v = None if companions is None else companions[0].copy()
-    for _ in range(2):
-        for idx, q in enumerate(q_list):
-            c = np.vdot(q, u)
-            u -= c * q
-            if v is not None:
-                v -= c * companions[1][idx]
-    return u, v
-
-
-def complete_unitary(
-    prescribed: Sequence[tuple[StateVector, StateVector]],
-    *,
-    atol: float = DEFAULT_ATOL,
-) -> Operator:
-    """Unitary agreeing with the prescribed input -> output pairs.
-
-    Inputs are orthonormalized by modified Gram-Schmidt with
-    re-orthogonalization; the identical combinations are applied to the
-    outputs, and both frames are completed on the orthogonal complement.
-    Requires the prescribed inputs to be linearly independent and the two
-    Gram matrices to agree (otherwise no unitary exists).
-    """
-    if not prescribed:
-        raise ValueError("at least one prescribed pair is required")
-
-    def unpack(vec):
-        if isinstance(vec, StateVector):
-            return vec.dims, vec.amps
-        arr = np.asarray(vec, dtype=np.complex128).reshape(-1)
-        return (arr.size,), arr
-
-    dims = unpack(prescribed[0][0])[0]
-    ins = []
-    outs = []
-    for src, dst in prescribed:
-        sdims, samps = unpack(src)
-        ddims, damps = unpack(dst)
-        if math.prod(sdims) != math.prod(dims) or math.prod(ddims) != math.prod(dims):
-            raise ValueError("all prescribed states must share the same dimension")
-        ins.append(samps)
-        outs.append(damps)
-    gram_in = np.array([[np.vdot(a, b) for b in ins] for a in ins])
-    gram_out = np.array([[np.vdot(a, b) for b in outs] for a in outs])
-    if not np.allclose(gram_in, gram_out, atol=atol):
-        raise ValueError(
-            "prescribed pairs do not preserve inner products; no unitary exists"
-        )
-
-    dim = math.prod(dims)
-    q_in: list[np.ndarray] = []
-    q_out: list[np.ndarray] = []
-    for x, y in zip(ins, outs):
-        u, v = _mgs_insert(q_in, x, (y, q_out))
-        nu = np.linalg.norm(u)
-        if nu < 1e-8:
-            raise ValueError("prescribed inputs are linearly dependent (rank deficiency)")
-        q_in.append(u / nu)
-        q_out.append(v / nu)
-
-    for frame in (q_in, q_out):
-        for k in range(dim):
-            if len(frame) == dim:
-                break
-            e = np.zeros(dim, dtype=np.complex128)
-            e[k] = 1.0
-            u, _ = _mgs_insert(frame, e)
-            nu = np.linalg.norm(u)
-            if nu > 1e-6:
-                frame.append(u / nu)
-        if len(frame) != dim:
-            raise ValueError("failed to complete an orthonormal frame")
-
-    mat = np.stack(q_out, axis=1) @ np.stack(q_in, axis=1).conj().T
-    return Operator(dims, dims, mat)
 
 
 def haar_random_state(d: int, seed=None, label: str = "X") -> StateVector:

@@ -124,18 +124,14 @@ def clone_basis(d: int, copies: int) -> CloneBasis:
     sym = symmetric_basis(d, copies)
     n_anc = copies - 1
     check_memory(d ** (n_anc + copies))
-    scale = math.sqrt(d / sym.size)
+    xi = np.stack([state.amps for state in sym.states])
+    # phi_j[a, c] = sum_k (<j|_P xi_k)[a] xi_k[c]: the P slot is the first of M
+    phis = np.einsum("kja,kc->jac", xi.reshape(sym.size, d, d**n_anc), xi)
+    phis *= math.sqrt(d / sym.size)
     labels = ancilla_labels(copies) + clone_labels(copies)
     dims = (d,) * (n_anc + copies)
-    states = []
-    for j in range(d):
-        acc = np.zeros(d ** (n_anc + copies), dtype=np.complex128)
-        for xi in sym.states:
-            # <j|_P xi lives on the ancillas: the P slot is the first of M
-            anc_part = xi.amps.reshape(d, d**n_anc)[j]
-            acc += np.kron(anc_part, xi.amps)
-        states.append(StateVector(dims, labels, scale * acc))
-    return CloneBasis(d, copies, tuple(states))
+    states = tuple(StateVector(dims, labels, phi.reshape(-1)) for phi in phis)
+    return CloneBasis(d, copies, states)
 
 
 @dataclass(frozen=True, eq=False)

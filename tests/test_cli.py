@@ -252,6 +252,41 @@ class TestHaar:
         targets = [r for r in rows[1:] if r[10] == "haar_target"]
         assert {r[7] for r in targets} == {"all", "success", "fail"}
 
+    def test_csv_band_cells_are_numbers(self, capsys):
+        code, out, err = run_cli(
+            capsys, "haar", "--d", "2", "--channel", "maximal", "--input", "haar:8:30", "--format", "csv",
+        )
+        assert code == 0
+        bands = [r for r in parse_csv(out)[1:] if r[10] == "haar_target"]
+        assert bands
+        for row in bands:
+            for cell in (row[9], row[11], row[12]):
+                float(cell)
+
+    @pytest.mark.parametrize(
+        "channel,strategy",
+        [
+            ("c=[0.9,0.43588989435]", "none"),
+            ("c=[0.9,0.43588989435]", "usd"),
+            ("c=[0.9,0.43588989435]", "minerror"),
+            ("c=[0.9,0.43588989435]", "sep:maximal"),
+            ("c=[0.70710678118654757,0.70710678118654757,0]", "maxconf"),
+        ],
+    )
+    def test_json_is_strict(self, capsys, channel, strategy):
+        def reject(token):
+            raise ValueError(f"non-standard JSON constant {token}")
+
+        d = str(channel.count(",") + 1)
+        code, out, err = run_cli(
+            capsys, "haar", "--d", d, "--channel", channel, "--strategy", strategy, "--input", "haar:7:40",
+        )
+        assert code in (0, 2)
+        doc = json.loads(out, parse_constant=reject)
+        for flag, cond in doc["results"]["conditional_averages"].items():
+            mass = sum(b["probability"] for b in doc["results"]["branches"] if b["flag"] == flag)
+            assert cond["probability"] == pytest.approx(mass, abs=1e-15)
+
     def test_requires_haar_input(self, capsys):
         code, out, err = run_cli(
             capsys, "haar", "--d", "2", "--channel", "maximal", "--input", "1,0",
@@ -301,6 +336,15 @@ class TestErrors:
         )
         assert code == 1
         assert "error" in err
+
+    def test_separation_target_dimension(self, capsys):
+        code, out, err = run_cli(
+            capsys, "simulate", "--d", "3", "--channel", "maximal", "--strategy", "sep:0.6,0.8",
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "separation target" in err
 
     def test_unknown_subcommand_exits_one(self, capsys):
         # argparse's native usage exit is 2; main remaps it to keep 2 = DISCREPANCY

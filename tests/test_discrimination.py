@@ -7,6 +7,8 @@ import pytest
 
 from qtc import (
     Channel,
+    KrausPair,
+    Operator,
     RankDeficientChannelError,
     Strategy,
     max_confidence,
@@ -31,6 +33,26 @@ def random_full_rank(d, seed):
     rng = np.random.default_rng(seed)
     c = rng.random(d) + 0.15
     return Channel(c / np.linalg.norm(c))
+
+
+def filter_pair(kind, d):
+    """Kraus pair of one filter strategy on a random channel of dimension d."""
+    if kind == "usd":
+        return usd_kraus(random_full_rank(d, 40 + d))
+    if kind == "separation":
+        return separation_filter(random_full_rank(d, 40 + d), random_full_rank(d, 50 + d))
+    # rank-deficient channel with a hole inside the support
+    c = np.random.default_rng(60 + d).random(d) + 0.15
+    c[1] = 0.0
+    return max_confidence(Channel(c / np.linalg.norm(c))).kraus
+
+
+def diagonal_pair(success, fail):
+    return KrausPair(
+        Operator.square(np.diag(success), (2,)),
+        Operator.square(np.diag(fail), (2,)),
+        (0, 1),
+    )
 
 
 class TestUsdKraus:
@@ -94,6 +116,48 @@ class TestFilterUnitary:
         out = (u.matrix @ np.kron(v, np.eye(3)[0])).reshape(3, 3)
         assert np.max(np.abs(out[:, 0] - pair.success.matrix @ v)) < 1e-10
         assert np.max(np.abs(out[:, 1] - pair.fail.matrix @ v)) < 1e-10
+
+    @pytest.mark.parametrize(
+        "kind,d",
+        [(kind, d) for kind in ("usd", "separation", "maxconf") for d in range(2, 6) if (kind, d) != ("maxconf", 2)],
+    )
+    def test_closed_form_dilation(self, kind, d):
+        pair = filter_pair(kind, d)
+        s, f = pair.success.matrix, pair.fail.matrix
+        eye = np.eye(d)
+        for flag in range(d):
+            u = filter_unitary(pair, d, flag).matrix
+            for k in pair.support:
+                want = np.kron(s[:, k], eye[flag]) + np.kron(f[:, k], eye[(flag + 1) % d])
+                assert np.array_equal(u[:, k * d + flag], want)
+            assert np.max(np.abs(u.conj().T @ u - np.eye(d * d))) < 1e-14
+
+    def test_partial_prescription_filter_action(self):
+        # flag-qubit filter built by hand for c^2 = (0.8, 0.2):
+        # |k>|0> -> a_k|k>|0> + b_k|k>|1> extends to a unitary whose success
+        # amplitudes have squared norm d*c_min^2 = 0.4 on both family members
+        c = np.sqrt([0.8, 0.2])
+        a = c.min() / c
+        u = filter_unitary(diagonal_pair(a, np.sqrt(1 - a**2)), 2, flag=0)
+        assert u.is_unitary(1e-10)
+        for n in range(2):
+            psi_n = c * np.array([1, (-1) ** n])
+            out = (u.matrix @ np.kron(psi_n, [1, 0])).reshape(2, 2)
+            assert np.vdot(out[:, 0], out[:, 0]).real == pytest.approx(0.4, abs=1e-12)
+
+    def test_incomplete_pair_rejected(self):
+        with pytest.raises(ValueError, match="incomplete"):
+            filter_unitary(diagonal_pair([1.0, 0.5], [0.0, 0.5]), 2)
+
+    def test_off_diagonal_pair_rejected(self):
+        swap = KrausPair(
+            Operator.square(np.array([[0.0, 1.0], [1.0, 0.0]]), (2,)),
+            Operator.square(np.zeros((2, 2)), (2,)),
+            (0, 1),
+        )
+        assert swap.completeness_defect() == 0.0
+        with pytest.raises(ValueError, match="diagonal"):
+            filter_unitary(swap, 2)
 
 
 class TestUsdFailureStates:

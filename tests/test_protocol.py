@@ -459,11 +459,25 @@ class TestHaarAgainstRunExact:
                 assert abs(b.clone_fidelities[0] - f) < 1e-12
         assert abs(rep.haar.overall_mean - want_mean) < 1e-12
         assert set(rep.haar.class_stats) == set(want_classes)
+        assert set(rep.conditional_averages) == set(want_classes)
+        for flag, cond in rep.conditional_averages.items():
+            mass = sum(p for key, p, _ in want_branches if key[2] == flag)
+            assert abs(cond["probability"] - mass) < 1e-12
+            assert cond["fidelity"] == rep.haar.class_stats[flag]["mean"]
         for flag, (mean, sem, count) in want_classes.items():
             got = rep.haar.class_stats[flag]
             assert got["samples"] == count
             assert abs(got["mean"] - mean) < 1e-12
             assert abs(got["stderr"] - sem) < 1e-12
+
+    @pytest.mark.parametrize("d", [2, 3, 5])
+    def test_inputs_are_haar_random_states(self, d):
+        spec = HaarSpec(seed=23, samples=30)
+        want = np.stack(
+            [haar_random_state(d, np.random.default_rng([spec.seed, i])).amps for i in range(spec.samples)],
+            axis=1,
+        )
+        assert np.array_equal(protocol._haar_inputs(spec, d), want)
 
     def test_rejects_maps_that_lose_probability(self, monkeypatch):
         engine = protocol._engine
@@ -598,6 +612,32 @@ class TestValidation:
         )
         with pytest.raises(ValueError, match="post-state"):
             clone_marginal(rep.branches[0])
+
+    def test_separation_target_dimension(self):
+        with pytest.raises(ValueError, match="separation target"):
+            ProtocolConfig(channel=CHAN532, flow="gxor", strategy=Strategy.separation(CHAN82))
+
+    @pytest.mark.parametrize(
+        "chan,copies,flow,strategy",
+        [
+            (CHAN82, 3, "bell", Strategy.none()),
+            (CHAN532, 2, "gxor", Strategy.min_error()),
+            (CHAN532, 2, "gxor", Strategy.usd()),
+            (CHAN82, 2, "gxor", Strategy.separation(Channel.maximal(2))),
+            (Channel(np.sqrt([0.6, 0.0, 0.4])), 2, "gxor", Strategy.max_confidence()),
+        ],
+        ids=["bell-M3", "minerror", "usd", "sep-maximal", "maxconf"],
+    )
+    def test_keep_states_leaves_numbers_unchanged(self, chan, copies, flow, strategy):
+        cfg = ProtocolConfig(
+            channel=chan, copies=copies, flow=flow, strategy=strategy,
+            input_spec=random_state(chan.d, np.random.default_rng(copies)),
+        )
+        kept, bare = run_exact(cfg), run_exact(cfg, keep_states=False)
+        assert [b.probability for b in kept.branches] == [b.probability for b in bare.branches]
+        assert [b.clone_fidelities for b in kept.branches] == [b.clone_fidelities for b in bare.branches]
+        assert all(b.ac_state is None and b.marginal is None for b in bare.branches)
+        assert any(b.ac_state is not None for b in kept.branches)
 
     def test_memory_budget(self, monkeypatch):
         monkeypatch.setenv("QTC_MEM_BUDGET", "16")

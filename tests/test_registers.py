@@ -1,4 +1,4 @@
-"""Dense register layer: tensor, apply, measure, trace, completion, sampling."""
+"""Dense register layer: tensor, apply, measure, trace, sampling."""
 
 import math
 
@@ -14,7 +14,6 @@ from qtc import (
     basis_state,
     bell_state,
     channel_state,
-    complete_unitary,
     fidelity,
     fourier,
     haar_random_state,
@@ -185,48 +184,6 @@ class TestFidelity:
         branch = measure_projective(full, ["X", "P"], basis)[0]
         rho = partial_trace(branch.post, ["C1"])
         assert fidelity(psi, rho) == pytest.approx(5 / 6, abs=1e-12)
-
-
-class TestCompleteUnitary:
-    def test_identity_prescription(self):
-        eye = np.eye(3)
-        pairs = [(eye[k], eye[k]) for k in range(3)]
-        u = complete_unitary(pairs)
-        assert np.allclose(u.matrix, eye)
-
-    def test_swap_prescription(self):
-        eye = np.eye(3)
-        u = complete_unitary([(eye[0], eye[1]), (eye[1], eye[0])])
-        assert np.allclose(u.matrix @ eye[0], eye[1])
-        assert np.allclose(u.matrix @ eye[1], eye[0])
-        assert u.is_unitary()
-
-    def test_partial_prescription_filter_action(self):
-        # diagonal filter with a flag qubit, d=2 coefficients sqrt(0.8), sqrt(0.2):
-        # |k>|0> -> a_k|k>|0> + b_k|k>|1> extends to a unitary whose success
-        # amplitudes have squared norm d*c_min^2 = 0.4 on both inputs
-        c = np.sqrt([0.8, 0.2])
-        amin = c.min()
-        eye = np.eye(4)
-        pairs = []
-        for k in range(2):
-            a_k = amin / c[k]
-            b_k = math.sqrt(1 - a_k**2)
-            pairs.append((eye[2 * k], a_k * eye[2 * k] + b_k * eye[2 * k + 1]))
-        u = complete_unitary(pairs)
-        assert u.is_unitary(1e-10)
-        for n in range(2):
-            psi_n = c * np.array([1, (-1) ** n])
-            inp = np.kron(psi_n, [1, 0])
-            out = u.matrix @ inp
-            success = out.reshape(2, 2)[:, 0]
-            assert np.vdot(success, success).real == pytest.approx(0.4, abs=1e-12)
-
-    def test_gram_mismatch_rejected(self):
-        eye = np.eye(2)
-        bad = [(eye[0], eye[0]), (eye[1], eye[0])]  # collapses an orthogonal pair
-        with pytest.raises(ValueError):
-            complete_unitary(bad)
 
 
 class TestHaarSampling:

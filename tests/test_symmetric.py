@@ -124,6 +124,24 @@ class TestCloneBasis:
         assert ancilla_labels(3) == ("A1", "A2")
         assert clone_labels(3) == ("C1", "C2", "C3")
 
+    def test_matches_kron_construction(self):
+        # phi_j = sqrt(d/D) sum_k (<j|_P xi_k) (x) xi_k, one Kronecker product per k;
+        # each amplitude has a single nonzero term, so the sums agree exactly
+        def by_kron(d, copies):
+            sym = symmetric_basis(d, copies)
+            out = []
+            for j in range(d):
+                acc = np.zeros(d ** (2 * copies - 1), dtype=np.complex128)
+                for xi in sym.states:
+                    acc += np.kron(xi.amps.reshape(d, -1)[j], xi.amps)
+                out.append(math.sqrt(d / sym.size) * acc)
+            return out
+
+        for d in range(2, 5):
+            for m in range(1, 5):
+                for s, want in zip(clone_basis(d, m).states, by_kron(d, m)):
+                    assert np.array_equal(s.amps, want)
+
     def test_matches_oracle(self):
         for d, m in [(2, 2), (3, 2), (2, 3)]:
             ours = [s.amps for s in clone_basis(d, m).states]
