@@ -23,6 +23,7 @@ __all__ = [
     "gxor",
     "gxor_operator",
     "omega_powers",
+    "reconstruction_matrices",
     "reconstruction_unitaries",
     "symmetric_states",
 ]
@@ -106,24 +107,31 @@ def symmetric_states(channel: Channel, label: str = "P") -> SymmetricFamily:
     return SymmetricFamily(channel, tuple(states))
 
 
-def reconstruction_unitaries(d: int, n: int, m: int, variant: str = "s4") -> tuple[Operator, Operator]:
-    """Correction unitaries (ancilla op, clone op) for Bell outcome (n, m).
+def reconstruction_matrices(d: int, variant: str = "s4") -> tuple[np.ndarray, np.ndarray]:
+    """Correction matrices for every Bell outcome, stacked as [n, m, row, col].
 
     variant 's2': U_A = sum_j omega^{-jn} |j><j+m|, U_C with +jn phases.
     variant 's4': phases omega^{-(j+m)n} / omega^{+(j+m)n} instead.
     The two variants differ only by a global phase omega^{-+mn} on the
     corrected state; both restore |phi_{j+m}> families to |phi_j>.
     """
+    n, m, j = np.ix_(range(d), range(d), range(d))
+    if variant == "s2":
+        exp = (j * n) % d
+    elif variant == "s4":
+        exp = ((j + m) * n) % d
+    else:
+        raise ValueError(f"unknown reconstruction variant {variant!r}")
     w = omega_powers(d)
-    ua = np.zeros((d, d), dtype=np.complex128)
-    uc = np.zeros((d, d), dtype=np.complex128)
-    for j in range(d):
-        if variant == "s2":
-            exp = (j * n) % d
-        elif variant == "s4":
-            exp = ((j + m) * n) % d
-        else:
-            raise ValueError(f"unknown reconstruction variant {variant!r}")
-        ua[j, (j + m) % d] = w[(-exp) % d]
-        uc[j, (j + m) % d] = w[exp]
-    return Operator.square(ua, (d,)), Operator.square(uc, (d,))
+    n, m, j, exp = np.broadcast_arrays(n, m, j, exp)
+    ua = np.zeros((d, d, d, d), dtype=np.complex128)
+    uc = np.zeros((d, d, d, d), dtype=np.complex128)
+    ua[n, m, j, (j + m) % d] = w[(-exp) % d]
+    uc[n, m, j, (j + m) % d] = w[exp]
+    return ua, uc
+
+
+def reconstruction_unitaries(d: int, n: int, m: int, variant: str = "s4") -> tuple[Operator, Operator]:
+    """Correction unitaries (ancilla op, clone op) for Bell outcome (n, m); see ``reconstruction_matrices``."""
+    ua, uc = reconstruction_matrices(d, variant)
+    return Operator.square(ua[n, m], (d,)), Operator.square(uc[n, m], (d,))

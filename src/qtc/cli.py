@@ -267,7 +267,11 @@ def _report_json(run_id: str, cfg: dict, report: RunReport, extra: dict | None =
         }
     if extra:
         results.update(extra)
-    doc = {"version": __version__, "run_id": run_id, "config": cfg, "results": results}
+    return _json_text({"version": __version__, "run_id": run_id, "config": cfg, "results": results})
+
+
+def _json_text(doc: dict) -> str:
+    """The one serialization of every JSON report: sorted keys, strict floats (no NaN)."""
     return json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
@@ -431,7 +435,7 @@ def cmd_sweep(args) -> int:
             "config": {"command": "sweep", "d": args.d, "m_copies": args.m_copies, "channel": args.channel, "seed": args.seed},
             "rows": json_rows,
         }
-        _write(args.out, json.dumps(doc, sort_keys=True, indent=2) + "\n")
+        _write(args.out, _json_text(doc))
     else:
         _write(args.out, _csv_text(SWEEP_COLUMNS, rows))
     return 0

@@ -1,7 +1,6 @@
 """Exact branch-by-branch simulation of the telecloning protocol.
 
-Two flows are implemented, both over the full register X, P, A1..A(M-1),
-C1..CM:
+Two flows are implemented on the register X, P, A1..A(M-1), C1..CM:
 
 * ``bell``: the sender measures X (x) P in the generalized Bell basis and
   broadcasts (n, m); ancilla and clones apply the reconstruction unitaries.
@@ -18,20 +17,23 @@ Every branch is enumerated exactly; zero-probability branches are kept and
 flagged rather than dropped, so report schemas are deterministic. The
 engine runs on inputs stacked as columns and yields unnormalized branch
 blocks; a single finishing step turns a block into probability, fidelities
-and post-state. Monte Carlo sampling is layered on top of the exact branch
-distribution; Haar-input averaging compiles each branch's linear map once
-and evaluates all samples with batched products.
+and post-state. The register is never materialized: the sender-side steps
+act on X and P alone, so they run on a small sender tensor that is
+contracted with the channel state once per branch, and the reconstruction
+is a gather. The memory budget still counts its d^(2M+1) amplitudes.
+Monte Carlo sampling is layered on top of the exact branch distribution;
+Haar-input averaging compiles each branch's linear map once and evaluates
+all samples with batched products.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Sequence
 
 import numpy as np
 
-from .bell import bell_state, fourier, gxor_operator, reconstruction_unitaries
+from .bell import bell_state, fourier, gxor_operator, reconstruction_matrices
 from .discrimination import (
     Strategy,
     filter_unitary,
@@ -181,29 +183,64 @@ class RunReport:
         return sum(b.probability for b in self.branches if flag is None or b.flag == flag)
 
 
-def _apply_on(mat: np.ndarray, arr: np.ndarray, axes: Sequence[int]) -> np.ndarray:
-    k = len(axes)
-    moved = np.moveaxis(arr, axes, range(k))
-    head = math.prod(moved.shape[:k])
-    out = (mat @ moved.reshape(head, -1)).reshape(moved.shape)
-    return np.moveaxis(out, range(k), axes)
+def _apply_leading(mat: np.ndarray, arr: np.ndarray) -> np.ndarray:
+    """``mat`` acting on the leading axes of ``arr`` whose sizes multiply to its width."""
+    return (mat @ arr.reshape(mat.shape[1], -1)).reshape(arr.shape)
 
 
-def _column_norms(arr: np.ndarray) -> np.ndarray:
-    """Squared norm of each input column (the trailing axis)."""
-    flat = arr.reshape(-1, arr.shape[-1])
-    return np.einsum("ik,ik->k", flat, flat.conj()).real
+def _swap_factors(mat: np.ndarray, d: int) -> np.ndarray:
+    """The two-qudit operator ``mat`` with its tensor factors exchanged."""
+    return mat.reshape(d, d, d, d).transpose(1, 0, 3, 2).reshape(d * d, d * d)
 
 
-def _clone_fidelity(psi: np.ndarray, arr: np.ndarray, axis: int) -> float:
-    moved = np.moveaxis(arr, axis, 0)
-    flat = moved.reshape(moved.shape[0], -1)
-    rho = flat @ flat.conj().T
-    return float(np.vdot(psi, rho @ psi).real)
+def _monomial(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Column index and entry of each row of stacked monomial matrices (..., d, d).
+
+    U v = phase * v[index] for a monomial U; anything else is rejected.
+    """
+    nonzero = mats != 0
+    if np.any(nonzero.sum(axis=-1) != 1) or np.any(nonzero.sum(axis=-2) != 1):
+        raise ValueError("reconstruction matrix is not monomial")
+    index = np.argmax(nonzero, axis=-1)
+    return index, np.take_along_axis(mats, index[..., None], axis=-1)[..., 0]
+
+
+def _tensor_power(index: np.ndarray, phase: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gather vectors of the k-fold tensor powers of stacked monomials (rows of ``index``/``phase``).
+
+    Row r of the result holds flat indices and phases of length d^k, first
+    qudit most significant.
+    """
+    rows, d = index.shape
+    flat = np.zeros((rows, 1), dtype=np.intp)
+    phases = np.ones((rows, 1), dtype=np.complex128)
+    for _ in range(k):
+        flat = (flat[:, :, None] * d + index[:, None, :]).reshape(rows, -1)
+        phases = (phases[:, :, None] * phase[:, None, :]).reshape(rows, -1)
+    return flat, phases
+
+
+def _clone_fidelity(psi: np.ndarray, block: np.ndarray, axis: int) -> float:
+    """Squared norm of <psi| contracted into axis ``axis`` of ``block``.
+
+    For a normalized block this is the fidelity of the qudit on that axis
+    with psi; it is read on a reshaped view, one term per basis value.
+    """
+    d = psi.size
+    view = block.reshape(d**axis, d, -1)
+    proj = view[:, 0] * psi[0].conjugate()
+    for c in range(1, d):
+        proj += view[:, c] * psi[c].conjugate()
+    return float(np.vdot(proj, proj).real)
 
 
 class _Context:
-    """Input-independent machinery cached across runs of one configuration."""
+    """Input-independent machinery of one configuration: the channel state,
+    the sender operator, the filter dilations and the reconstruction gathers.
+
+    Sender tensors are indexed by the branch (or the physical P), then the
+    channel's P index, then the input column.
+    """
 
     def __init__(self, config: ProtocolConfig):
         self.config = config
@@ -211,27 +248,26 @@ class _Context:
         self.d = d
         self.copies = m_copies
         self.chan_amps = channel_state(config.channel, m_copies).amps
-        self.n_slots = 2 * m_copies + 1
-        check_memory(d**self.n_slots)
+        # the budget counts the register X, P, A, C the engine stands for
+        check_memory(d ** (2 * m_copies + 1))
+        self.chan_t = self.chan_amps.reshape(d, -1).T  # (AC, channel P)
+        self.weights = config.channel.coeffs**2  # squared norms of the channel's P slices
         self.ac_shape = (d,) * (2 * m_copies - 1)
-        self.anc_axes_ac = tuple(range(m_copies - 1))
-        self.clone_axes_ac = tuple(range(m_copies - 1, 2 * m_copies - 1))
-        self.recon = {}
-        for n in range(d):
-            for m in range(d):
-                ua, uc = reconstruction_unitaries(d, n, m, config.recon_variant)
-                self.recon[(n, m)] = (ua.matrix, uc.matrix)
+        self.clone_axes = tuple(range(m_copies - 1, 2 * m_copies - 1))
         self.ac_labels = ancilla_labels(m_copies) + clone_labels(m_copies)
+        ua, uc = reconstruction_matrices(d, config.recon_variant)
+        # per (n, m) at row n*d + m: ancilla index and phase, clone index and phase
+        self.recon = (
+            *_tensor_power(*_monomial(ua.reshape(d * d, d, d)), m_copies - 1),
+            *_tensor_power(*_monomial(uc.reshape(d * d, d, d)), m_copies),
+        )
         if config.flow == "bell":
-            rows = []
-            self.bell_order = []
-            for n in range(d):
-                for m in range(d):
-                    rows.append(bell_state(d, n, m).amps)
-                    self.bell_order.append((n, m))
-            self.bell_mat = np.stack(rows).conj()
+            self.bell_order = [(n, m) for n in range(d) for m in range(d)]
+            sender = np.stack([bell_state(d, n, m).amps for n, m in self.bell_order]).conj()
         else:
-            self.gxor_mat = gxor_operator(d).matrix
+            # GXOR with control P and target X, acting on (X, P); its rows for
+            # X = m are the sender operator of outcome m
+            sender = _swap_factors(gxor_operator(d).matrix, d)
             self.fourier_inv = fourier(d).dagger().matrix
             kind = config.strategy.kind
             self.flag_unitaries = None
@@ -245,7 +281,7 @@ class _Context:
                 pair = None
             if pair is not None:
                 self.flag_unitaries = [
-                    filter_unitary(pair, d, flag=m).matrix for m in range(d)
+                    _swap_factors(filter_unitary(pair, d, flag=m).matrix, d) for m in range(d)
                 ]
             self.flag_names = {
                 "usd": ("success", "fail"),
@@ -253,90 +289,87 @@ class _Context:
                 "maxconf": ("success", "inconclusive"),
             }.get(kind)
             self.plain_flag = "guess" if kind == "minerror" else None
+        # (branch, X, P) -> (branch, P, X), so that sender @ cols contracts X
+        self.sender = sender.reshape(d * d, d, d).transpose(0, 2, 1)
 
-    def reconstruct(self, arr: np.ndarray, n: int, m: int) -> np.ndarray:
-        ua, uc = self.recon[(n, m)]
-        for ax in self.anc_axes_ac:
-            arr = _apply_on(ua, arr, (ax,))
-        for ax in self.clone_axes_ac:
-            arr = _apply_on(uc, arr, (ax,))
-        return arr
+    def lift(self, core: np.ndarray) -> np.ndarray:
+        """Contract a (channel P, K) sender slice with the channel: shape (AC, K)."""
+        return self.chan_t @ core
 
-    def entangle(self, cols: np.ndarray) -> np.ndarray:
-        """Inputs (d, K) on X times the channel on P, A, C: shape (d,)*n_slots + (K,)."""
-        check_memory(self.chan_amps.size * cols.size)
-        full = cols[:, None, :] * self.chan_amps[None, :, None]
-        return full.reshape((self.d,) * self.n_slots + (cols.shape[1],))
+    def mass(self, core: np.ndarray) -> np.ndarray:
+        """Squared norm, per input column, of the state a (P, channel P, K) sender tensor stands for."""
+        return np.einsum("apk,p->k", np.abs(core) ** 2, self.weights)
+
+    def reconstruct(self, block: np.ndarray, n: int, m: int) -> np.ndarray:
+        """U_A^(M-1) (x) U_C^M on an (AC, K) block, as one gather times phases."""
+        ia, pa, ic, pc = (table[n * self.d + m] for table in self.recon)
+        out = block.reshape(ia.size, ic.size, -1)[ia[:, None], ic[None, :]]
+        out *= pa[:, None, None]
+        out *= pc[None, :, None]
+        return out.reshape(block.shape)
 
 
 # An engine pass maps K inputs stacked as columns to unnormalized branch
-# blocks: one ((m, n, flag), block) pair per branch, block shaped
-# ac_shape + (K,). Every step is linear in the input, so zero amplitudes
-# simply flow through, and the blocks of a pass on the d basis columns are
-# the branches' linear maps.
+# blocks, yielded one ((m, n, flag), block) pair per branch, block shaped
+# (AC, K). Every step is linear in the input, so zero amplitudes simply
+# flow through, and the blocks of a pass on the d basis columns are the
+# branches' linear maps.
 
 
-def _run_bell(ctx: _Context, cols: np.ndarray) -> list[tuple[tuple, np.ndarray]]:
-    d = ctx.d
-    coeffs = ctx.bell_mat @ ctx.entangle(cols).reshape(d * d, -1)
-    block_shape = ctx.ac_shape + (cols.shape[1],)
-    return [
-        ((m, n, None), ctx.reconstruct(row.reshape(block_shape), n, m))
-        for (n, m), row in zip(ctx.bell_order, coeffs)
-    ]
+def _run_bell(ctx: _Context, cores: np.ndarray):
+    for (n, m), core in zip(ctx.bell_order, cores):
+        yield (m, n, None), ctx.reconstruct(ctx.lift(core), n, m)
 
 
-def _readout(ctx: _Context, m: int, flag, arr: np.ndarray, correct: bool) -> list[tuple[tuple, np.ndarray]]:
+def _readout(ctx: _Context, m: int, flag, arr: np.ndarray, correct: bool):
     """Inverse Fourier on P (axis 0), split on its outcome n, then reconstruct (or not)."""
-    arr = _apply_on(ctx.fourier_inv, arr, (0,))
-    return [
-        ((m, n, flag), ctx.reconstruct(arr[n], n, m) if correct else arr[n])
-        for n in range(ctx.d)
-    ]
+    arr = _apply_leading(ctx.fourier_inv, arr)
+    for n in range(ctx.d):
+        block = ctx.lift(arr[n])
+        yield (m, n, flag), ctx.reconstruct(block, n, m) if correct else block
 
 
-def _run_gxor(ctx: _Context, cols: np.ndarray) -> list[tuple[tuple, np.ndarray]]:
+def _run_gxor(ctx: _Context, cores: np.ndarray):
     d = ctx.d
-    arr = _apply_on(ctx.gxor_mat, ctx.entangle(cols), (1, 0))  # control P, target X
-    blocks = []
-    for m in range(d):
-        sub = arr[m]
+    # outcome m of X, then P, the channel's P index and the input column
+    for m, sub in enumerate(cores.reshape(d, d, d, -1)):
         if ctx.flag_names is None:
-            blocks += _readout(ctx, m, ctx.plain_flag, sub, correct=True)
+            yield from _readout(ctx, m, ctx.plain_flag, sub, correct=True)
             continue
         # reattach the measured X register as the strategy's flag
         staged = np.zeros((d,) + sub.shape, dtype=np.complex128)
         staged[m] = sub
-        staged = _apply_on(ctx.flag_unitaries[m], staged, (1, 0))  # acts on P (x) X
+        staged = _apply_leading(ctx.flag_unitaries[m], staged)  # acts on X (x) P
         flags = (m, (m + 1) % d)
-        leak = sum(_column_norms(staged[x]) for x in range(d) if x not in flags)
-        if np.any(leak > 1e-12 * _column_norms(sub)):
+        leak = sum(ctx.mass(staged[x]) for x in range(d) if x not in flags)
+        if np.any(leak > 1e-12 * ctx.mass(sub)):
             raise AssertionError(f"flag register leaked probability {np.max(leak)}")
         for flag, x in zip(ctx.flag_names, flags):
-            blocks += _readout(ctx, m, flag, staged[x], correct=flag == ctx.flag_names[0])
-    return blocks
+            yield from _readout(ctx, m, flag, staged[x], correct=flag == ctx.flag_names[0])
 
 
 def _branch(ctx: _Context, psi: np.ndarray, key: tuple, block: np.ndarray, keep: bool) -> BranchResult:
-    """Finish one branch of one input from its unnormalized block (shape ac_shape)."""
+    """Finish one branch of one input from its unnormalized block (shape (AC,))."""
     m, n, flag = key
     prob = float(np.vdot(block, block).real)
     if prob < PROB_FLOOR:
         return BranchResult(m, n, flag, prob, None, True)
-    arr = block / math.sqrt(prob)
-    fids = tuple(_clone_fidelity(psi, arr, ax) for ax in ctx.clone_axes_ac)
+    fids = tuple(_clone_fidelity(psi, block, ax) / prob for ax in ctx.clone_axes)
     state = marg = None
     if keep:
-        state = StateVector(ctx.ac_shape, ctx.ac_labels, arr.reshape(-1))
-        moved = np.moveaxis(arr, ctx.clone_axes_ac[0], 0)
-        flat = moved.reshape(ctx.d, -1)
-        marg = DensityMatrix((ctx.d,), (ctx.ac_labels[ctx.copies - 1],), flat @ flat.conj().T)
+        arr = block / math.sqrt(prob)
+        state = StateVector(ctx.ac_shape, ctx.ac_labels, arr)
+        view = arr.reshape(ctx.d ** (ctx.copies - 1), ctx.d, -1)  # ancillas, C1, C2..CM
+        rho = np.matmul(view, view.conj().transpose(0, 2, 1)).sum(axis=0)
+        marg = DensityMatrix((ctx.d,), (ctx.ac_labels[ctx.copies - 1],), rho)
     return BranchResult(m, n, flag, prob, fids, False, state, marg)
 
 
-def _engine(ctx: _Context, cols: np.ndarray) -> list[tuple[tuple, np.ndarray]]:
+def _engine(ctx: _Context, cols: np.ndarray):
+    """Contract the inputs with the sender operator, then run the flow's branches lazily."""
+    check_memory(ctx.chan_amps.size * cols.size)  # the register X, P, A, C per input column
     runner = _run_bell if ctx.config.flow == "bell" else _run_gxor
-    return runner(ctx, cols)
+    return runner(ctx, ctx.sender @ cols)
 
 
 def _assemble(config, input_state, branches) -> RunReport:
@@ -374,7 +407,7 @@ def run_exact(config: ProtocolConfig, input_state: StateVector | None = None, *,
     ctx = _Context(config)
     psi = state.amps
     branches = [
-        _branch(ctx, psi, key, block[..., 0], keep_states)
+        _branch(ctx, psi, key, block[:, 0], keep_states)
         for key, block in _engine(ctx, psi[:, None])
     ]
     return _assemble(config, state, branches)
@@ -453,9 +486,9 @@ def haar_average(config: ProtocolConfig) -> RunReport:
         raise TypeError("haar_average needs a HaarSpec input in the configuration")
     d = config.d
     ctx = _Context(config)
-    compiled = _engine(ctx, np.eye(d, dtype=np.complex128))
+    compiled = list(_engine(ctx, np.eye(d, dtype=np.complex128)))
     keys = [key for key, _ in compiled]
-    maps = np.stack([block.reshape(-1, d) for _, block in compiled])  # (branch, AC, input)
+    maps = np.stack([block for _, block in compiled])  # (branch, AC, input)
     deviation = np.max(np.abs(np.einsum("bxj,bxk->jk", maps.conj(), maps) - np.eye(d)))
     if deviation > DEFAULT_ATOL:
         raise AssertionError(f"sum of L_b^dag L_b deviates from the identity by {deviation!r}")

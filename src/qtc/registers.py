@@ -36,6 +36,7 @@ DEFAULT_ATOL = 1e-10
 NORM_ATOL = 1e-12
 PROB_FLOOR = 1e-14
 DEFAULT_MEMORY_BUDGET = 1 << 26
+NORM_CHUNK = 1 << 16  # floats per pairwise partial sum in _squared_norm
 
 
 class MemoryBudgetError(MemoryError):
@@ -46,6 +47,19 @@ def memory_budget() -> int:
     """Amplitude budget for any single register (QTC_MEM_BUDGET overrides)."""
     raw = os.environ.get("QTC_MEM_BUDGET")
     return int(raw) if raw else DEFAULT_MEMORY_BUDGET
+
+
+def _squared_norm(amps: np.ndarray) -> float:
+    """Sum of |a|^2 over a contiguous complex128 vector, accurate at any length.
+
+    NumPy sums each chunk pairwise and ``math.fsum`` adds the chunk sums
+    exactly, so the rounding error grows with the logarithm of the chunk
+    size; a BLAS dot product lets it grow with the length of the vector.
+    """
+    flat = amps.view(np.float64)  # real and imaginary parts interleaved
+    return math.fsum(
+        float(np.sum(np.square(flat[i : i + NORM_CHUNK]))) for i in range(0, flat.size, NORM_CHUNK)
+    )
 
 
 def check_memory(total_amplitudes: int) -> None:
@@ -87,7 +101,7 @@ class StateVector:
                 f"amplitude vector of length {amps.size} does not match dims {dims}"
             )
         if self.normalized:
-            nrm = np.linalg.norm(amps)
+            nrm = math.sqrt(_squared_norm(amps))
             if abs(nrm - 1.0) > NORM_ATOL:
                 raise ValueError(f"state norm {nrm!r} deviates from 1 beyond {NORM_ATOL}")
         amps.flags.writeable = False

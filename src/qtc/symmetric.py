@@ -182,7 +182,7 @@ class Channel:
 
     @property
     def is_maximal(self) -> bool:
-        return bool(np.allclose(self.coeffs, 1.0 / math.sqrt(self.d), atol=1e-12))
+        return bool(np.allclose(self.coeffs, 1.0 / math.sqrt(self.d), rtol=0, atol=1e-12))
 
     def min_nonzero(self) -> float:
         return float(min(self.coeffs[k] for k in self.nonzero_support))

@@ -82,6 +82,20 @@ class TestSimulate:
         assert names["separation_success[printed]"]["status"] == "MATCH"
         assert names["separation_success[printed-orthogonal]"]["status"] == "DISCREPANCY"
 
+    def test_near_maximal_target_is_not_maximal(self, capsys):
+        # coefficients 2e-5 from 1/sqrt(2) once passed the relative tolerance
+        # of np.allclose and drew the maximal-target rows
+        code, out, err = run_cli(
+            capsys, "simulate", "--d", "2", "--m-copies", "2",
+            "--channel", "c=[0.7070894877186531,0.7071240742315119]",
+            "--strategy", "sep:c=[0.7071046473382793,0.7071089150283765]", "--input", "0.6,0.8",
+        )
+        assert code == 0
+        names = [c["name"] for c in json.loads(out)["results"]["comparisons"]]
+        assert "separation_success[printed-orthogonal]" not in names
+        assert "optimal_fidelity" not in names
+        assert "maximal" not in out
+
     def test_csv_branch_rows(self, capsys):
         code, out, err = run_cli(
             capsys, "simulate", "--d", "2", "--channel", "maximal", "--format", "csv",
@@ -179,6 +193,19 @@ class TestSweep:
         doc = json.loads(out)
         assert [r["cmin2"] for r in doc["rows"]] == [0.1, 0.25]
         assert [r["above_threshold"] for r in doc["rows"]] == [False, True]
+
+    def test_json_is_strict(self, capsys):
+        def reject(token):
+            raise ValueError(f"non-standard JSON constant {token}")
+
+        code, out, err = run_cli(
+            capsys, "sweep", "--d", "2..4", "--m-copies", "3", "--channel", "cmin2=[0.01..0.2:4]",
+            "--format", "json",
+        )
+        assert code == 0
+        doc = json.loads(out, parse_constant=reject)
+        assert len(doc["rows"]) == 12
+        assert out == json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
     def test_empty_grid_errors(self, capsys):
         code, out, err = run_cli(capsys, "sweep", "--d", "2", "--channel", "cmin2=[]")

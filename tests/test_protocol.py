@@ -15,8 +15,9 @@ from qtc import (
 )
 from qtc import formulas as fm
 from qtc import protocol
+from qtc.bell import bell_state, gxor_operator, reconstruction_unitaries
 from qtc.discrimination import RankDeficientChannelError, Strategy
-from qtc.registers import MemoryBudgetError, StateVector, haar_random_state
+from qtc.registers import MemoryBudgetError, Operator, StateVector, haar_random_state
 from qtc.symmetric import Channel
 
 CHAN82 = Channel(np.sqrt([0.8, 0.2]))
@@ -643,3 +644,79 @@ class TestValidation:
         monkeypatch.setenv("QTC_MEM_BUDGET", "16")
         with pytest.raises(MemoryBudgetError, match="QTC_MEM_BUDGET"):
             run_exact(ProtocolConfig(channel=CHAN532, copies=3, input_spec=state([1, 0, 0])))
+
+
+def _apply_per_axis(mat, arr, axis):
+    """Reference: ``mat`` on one axis through a moved copy, the per-axis form the gather replaces."""
+    moved = np.moveaxis(arr, axis, 0)
+    out = (mat @ moved.reshape(mat.shape[1], -1)).reshape(moved.shape)
+    return np.moveaxis(out, 0, axis)
+
+
+class TestEngineSteps:
+    """The engine's inner steps against the full-register forms they replace."""
+
+    @pytest.mark.parametrize("variant", ["s2", "s4"])
+    @pytest.mark.parametrize("d,copies", [(d, m) for d in (2, 3, 4) for m in (1, 2, 3, 4)])
+    def test_gather_matches_per_axis_apply(self, d, copies, variant):
+        ctx = protocol._Context(ProtocolConfig(channel=Channel.maximal(d), copies=copies, recon_variant=variant))
+        rng = np.random.default_rng(d * 10 + copies)
+        shape = (d,) * (2 * copies - 1) + (2,)
+        # moduli up to 1, as in any block of a normalized input
+        block = rng.uniform(size=shape) * np.exp(2j * np.pi * rng.uniform(size=shape))
+        for n in range(d):
+            for m in range(d):
+                ua, uc = reconstruction_unitaries(d, n, m, variant)
+                want = block
+                for axis in range(2 * copies - 1):
+                    want = _apply_per_axis(ua.matrix if axis < copies - 1 else uc.matrix, want, axis)
+                got = ctx.reconstruct(block.reshape(-1, 2), n, m)
+                assert np.max(np.abs(got - want.reshape(-1, 2))) <= 1e-15
+
+    def test_non_monomial_rejected(self):
+        for mat in ([[1, 1], [0, 1]], [[1, 0], [0, 0]], [[0, 1], [0, 1j]]):
+            with pytest.raises(ValueError, match="monomial"):
+                protocol._monomial(np.array(mat, dtype=complex))
+        index, phase = protocol._monomial(np.array([[0, 1j], [-1, 0]]))
+        assert index.tolist() == [1, 0] and phase.tolist() == [1j, -1]
+
+    @pytest.mark.parametrize("d,copies", [(2, 1), (2, 3), (3, 2), (4, 2)])
+    def test_clone_fidelity_is_gram_form(self, d, copies):
+        rng = np.random.default_rng(copies)
+        psi = random_state(d, rng).amps
+        shape = (d,) * (2 * copies - 1)
+        block = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        block /= np.linalg.norm(block)
+        for axis in range(2 * copies - 1):
+            flat = np.moveaxis(block, axis, 0).reshape(d, -1)
+            gram = np.vdot(psi, flat @ flat.conj().T @ psi).real
+            assert abs(protocol._clone_fidelity(psi, block.reshape(-1), axis) - gram) <= 1e-14
+
+    @pytest.mark.parametrize("flow", ["bell", "gxor"])
+    @pytest.mark.parametrize("chan,copies", [(CHAN82, 1), (CHAN82, 3), (CHAN532, 2)])
+    def test_sender_contraction_matches_full_register(self, flow, chan, copies):
+        d = chan.d
+        ctx = protocol._Context(ProtocolConfig(channel=chan, copies=copies, flow=flow))
+        rng = np.random.default_rng(copies)
+        for cols in (np.eye(d, dtype=complex), rng.normal(size=(d, 3)) + 1j * rng.normal(size=(d, 3))):
+            # the register X, P, AC, input built in full, then projected on (X, P)
+            full = (cols[:, None, :] * ctx.chan_amps[None, :, None]).reshape(d, d, -1, cols.shape[1])
+            if flow == "bell":
+                rows = np.stack([bell_state(d, n, m).amps for n in range(d) for m in range(d)]).conj()
+                want = (rows @ full.reshape(d * d, -1)).reshape(d * d, -1, cols.shape[1])
+            else:
+                # GXOR with control P and target X, then X read as m: rows (m, P)
+                gxor = gxor_operator(d).matrix
+                want = np.moveaxis(full, 1, 0)
+                want = (gxor @ want.reshape(d * d, -1)).reshape(want.shape)
+                want = np.moveaxis(want, 1, 0).reshape(d * d, -1, cols.shape[1])
+            got = np.stack([ctx.lift(core) for core in ctx.sender @ cols])
+            assert np.max(np.abs(got - want)) <= 1e-14
+
+    def test_flag_leak_detected(self, monkeypatch):
+        d = 3
+        shift = np.kron(np.eye(d), np.roll(np.eye(d), 2, axis=0))  # flag x -> x + 2 on P (x) X
+        monkeypatch.setattr(protocol, "filter_unitary", lambda pair, d, flag: Operator.square(shift, (d, d)))
+        cfg = ProtocolConfig(channel=CHAN532, flow="gxor", strategy=Strategy.usd(), input_spec=state([1, 1, 1]))
+        with pytest.raises(AssertionError, match="leaked"):
+            run_exact(cfg)

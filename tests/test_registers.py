@@ -21,11 +21,29 @@ from qtc import (
     partial_trace,
     tensor,
 )
-from qtc.registers import MemoryBudgetError, check_memory
+from qtc.registers import MemoryBudgetError, _squared_norm, check_memory
 
 
 def plus(label="X"):
     return StateVector((2,), (label,), np.array([1, 1]) / math.sqrt(2))
+
+
+class TestSquaredNorm:
+    def test_long_vector_matches_exact_sum(self):
+        # equal amplitudes make a running sum drift: a single-threaded BLAS
+        # dot product is off by about 4e-12 here, past the 1e-12 tolerance
+        n = 3 * 2**19 + 7
+        amps = np.full(n, 0.6 / math.sqrt(n)) + 1j * np.full(n, 0.8 / math.sqrt(n))
+        exact = math.fsum(np.square(amps.view(np.float64)))
+        assert abs(_squared_norm(amps) - exact) < 1e-15
+        assert StateVector((n,), ("X",), amps).dim == n
+
+    def test_short_vectors(self):
+        rng = np.random.default_rng(4)
+        for n in (1, 2, 7, 1000):
+            amps = rng.normal(size=n) + 1j * rng.normal(size=n)
+            exact = math.fsum(np.square(amps.view(np.float64)))
+            assert _squared_norm(amps) == pytest.approx(exact, rel=1e-15)
 
 
 class TestStateVector:

@@ -157,6 +157,12 @@ class TestChannel:
         assert chan.is_maximal and chan.is_full_rank
         assert chan.rank == 3
 
+    def test_maximal_is_absolute(self):
+        h = 1 / math.sqrt(2)
+        assert Channel(np.array([h + 4e-13, h - 4e-13])).is_maximal
+        assert not Channel(np.array([0.7070894877186531, 0.7071240742315119])).is_maximal
+        assert Channel(np.array([0.7071046473382793, 0.7071089150283765])).describe() != "maximal"
+
     def test_rank1(self):
         chan = Channel.rank1(4)
         assert chan.rank == 1
