@@ -11,13 +11,8 @@ from .registers import (
     DensityMatrix,
     Operator,
     StateVector,
-    apply,
-    basis_state,
-    fidelity,
     haar_random_state,
-    measure_projective,
     partial_trace,
-    tensor,
 )
 from .symmetric import (
     Channel,
@@ -30,7 +25,6 @@ from .bell import (
     bell_state,
     channel_bell_state,
     fourier,
-    gxor,
     gxor_operator,
     reconstruction_unitaries,
     symmetric_states,
@@ -40,11 +34,9 @@ from .discrimination import (
     RankDeficientChannelError,
     Strategy,
     max_confidence,
-    min_error_measurement,
     separation_filter,
     usd_failure_states,
     usd_kraus,
-    usd_unitary,
 )
 from .protocol import (
     BranchResult,
@@ -54,7 +46,6 @@ from .protocol import (
     clone_marginal,
     compare_to_formulas,
     haar_average,
-    monte_carlo,
     run_exact,
 )
 from . import formulas
@@ -71,25 +62,18 @@ __all__ = [
     "RunReport",
     "StateVector",
     "Strategy",
-    "apply",
-    "basis_state",
     "bell_state",
     "channel_bell_state",
     "channel_state",
     "clone_basis",
     "clone_marginal",
     "compare_to_formulas",
-    "fidelity",
     "formulas",
     "fourier",
-    "gxor",
     "gxor_operator",
     "haar_average",
     "haar_random_state",
     "max_confidence",
-    "measure_projective",
-    "min_error_measurement",
-    "monte_carlo",
     "partial_trace",
     "reconstruction_unitaries",
     "run_exact",
@@ -97,8 +81,6 @@ __all__ = [
     "symmetric_basis",
     "symmetric_dimension",
     "symmetric_states",
-    "tensor",
     "usd_failure_states",
     "usd_kraus",
-    "usd_unitary",
 ]

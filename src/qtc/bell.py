@@ -16,11 +16,9 @@ from .symmetric import Channel
 
 __all__ = [
     "SymmetricFamily",
-    "bell_basis",
     "bell_state",
     "channel_bell_state",
     "fourier",
-    "gxor",
     "gxor_operator",
     "omega_powers",
     "reconstruction_matrices",
@@ -41,11 +39,6 @@ def bell_state(d: int, n: int, m: int, labels=("X", "P")) -> StateVector:
     for k in range(d):
         amps[k * d + (k + m) % d] = w[(k * n) % d] / math.sqrt(d)
     return StateVector((d, d), tuple(labels), amps)
-
-
-def bell_basis(d: int, labels=("X", "P")) -> list[tuple[tuple[int, int], StateVector]]:
-    """All d^2 Bell states keyed by (n, m)."""
-    return [((n, m), bell_state(d, n, m, labels)) for n in range(d) for m in range(d)]
 
 
 def channel_bell_state(channel: Channel, n: int, m: int, labels=("X", "P")) -> StateVector:
@@ -69,13 +62,6 @@ def gxor_operator(d: int) -> Operator:
         for m in range(d):
             mat[n * d + (n - m) % d, n * d + m] = 1.0
     return Operator.square(mat, (d, d))
-
-
-def gxor(state: StateVector, control: str, target: str) -> StateVector:
-    from .registers import apply
-
-    d = state.dims[state.axis(control)]
-    return apply(gxor_operator(d), state, (control, target))
 
 
 def fourier(d: int) -> Operator:

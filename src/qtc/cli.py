@@ -17,7 +17,8 @@ Three subcommands:
 
 Reports are deterministic: keys are sorted, floats use shortest repr, the
 run id is a hash of the resolved configuration, and no timestamps are
-embedded, so a fixed seed yields byte-identical output.
+embedded, so the same arguments yield byte-identical output. The only
+randomness is the Haar input stream, seeded by ``--input haar:SEED:N``.
 
 CSV reports use one fixed column set: run_id, d, M, channel, strategy,
 branch_m, branch_n, flag, probability, fidelity, formula_name,
@@ -87,6 +88,13 @@ SWEEP_COLUMNS = [
 
 class CliError(Exception):
     """Configuration or I/O problem; the message names the offending field."""
+
+
+class _Parser(argparse.ArgumentParser):
+    """Argument parser whose usage errors raise CliError instead of exiting."""
+
+    def error(self, message):
+        raise CliError(message)
 
 
 def _parse_input(text: str, d: int) -> StateVector | HaarSpec:
@@ -192,7 +200,6 @@ def _config_dict(args, config: ProtocolConfig) -> dict:
         "input": input_token,
         "input_amplitudes": input_amps,
         "tol": args.tol,
-        "seed": args.seed,
     }
 
 
@@ -412,7 +419,7 @@ def cmd_sweep(args) -> int:
         f_est = formulas.estimation_fidelity(d)
         f_opt = formulas.optimal_fidelity(d, args.m_copies)
         above = q >= formulas.classical_threshold(d, args.m_copies)
-        run_id = _run_id({"command": "sweep", "d": d, "channel": token, "m": args.m_copies, "seed": args.seed, "index": index})
+        run_id = _run_id({"command": "sweep", "d": d, "channel": token, "m": args.m_copies, "index": index})
         rows.append([run_id, d, args.m_copies, token, "usd", repr(q), repr(p), repr(f_av), repr(f_est), repr(f_opt), above])
         json_rows.append(
             {
@@ -432,7 +439,7 @@ def cmd_sweep(args) -> int:
     if args.format == "json":
         doc = {
             "version": __version__,
-            "config": {"command": "sweep", "d": args.d, "m_copies": args.m_copies, "channel": args.channel, "seed": args.seed},
+            "config": {"command": "sweep", "d": args.d, "m_copies": args.m_copies, "channel": args.channel},
             "rows": json_rows,
         }
         _write(args.out, _json_text(doc))
@@ -470,7 +477,7 @@ def config_from_report(doc: dict) -> ProtocolConfig:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="qtc",
         description="Exact simulation of qudit telecloning through partially entangled channels.",
     )
@@ -491,7 +498,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", default=None, choices=["json", "csv"], help="report format")
         p.add_argument("--out", default=None, help="output path (default stdout)")
         p.add_argument("--tol", type=float, default=COMPARE_TOL, help="comparison tolerance")
-        p.add_argument("--seed", type=int, default=None, help="master seed (recorded in reports)")
 
     sim = sub.add_parser("simulate", help="single exact run with closed-form cross-checks")
     add_common(sim)
@@ -509,20 +515,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        # argparse exits 2 on usage errors; 2 is reserved for DISCREPANCY
-        return 0 if not exc.code else 1
-    if args.format is None:
-        args.format = args.default_format
-    try:
+        args = build_parser().parse_args(argv)
+        if args.format is None:
+            args.format = args.default_format
         return args.func(args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (ValueError, TypeError, OSError, MemoryBudgetError) as exc:
+    except SystemExit as exc:
+        # only --help and --version exit from argparse; usage errors raise CliError
+        return 0 if not exc.code else 1
+    except (CliError, ValueError, TypeError, OSError, MemoryBudgetError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -19,27 +19,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bell import fourier, omega_powers, symmetric_states
+from .bell import fourier, symmetric_states
 from .registers import Operator, StateVector
 from .symmetric import Channel
 
 __all__ = [
     "EnsembleReadout",
     "KrausPair",
-    "MaxConfidenceScheme",
-    "MinErrorMeasurement",
     "RankDeficientChannelError",
     "Strategy",
     "filter_unitary",
     "max_confidence",
     "max_confidence_readout",
-    "min_error_measurement",
-    "min_error_readout",
     "separation_filter",
     "usd_failure_states",
     "usd_kraus",
-    "usd_readout",
-    "usd_unitary",
 ]
 
 
@@ -119,11 +113,6 @@ def filter_unitary(pair: KrausPair, d: int, flag: int = 0) -> Operator:
     return Operator.square(u, (d, d))
 
 
-def usd_unitary(channel: Channel, flag: int = 0) -> Operator:
-    """Flag unitary |psi_n>|m> -> sqrt(p_d)|u_n>|m> + sqrt(1-p_d)|chi_n>|m+1>."""
-    return filter_unitary(usd_kraus(channel), channel.d, flag)
-
-
 def usd_failure_states(channel: Channel) -> tuple[StateVector, ...]:
     """Normalized failure-branch states chi_n on P.
 
@@ -143,29 +132,6 @@ def usd_failure_states(channel: Channel) -> tuple[StateVector, ...]:
         vec = pair.fail.matrix @ psi.amps
         out.append(StateVector((channel.d,), ("P",), vec / np.linalg.norm(vec)))
     return tuple(out)
-
-
-@dataclass(frozen=True, eq=False)
-class MinErrorMeasurement:
-    """Minimum-error readout: inverse Fourier on P, then computational readout.
-
-    Outcome n is taken as the guess; for the uniform-prior family each
-    outcome occurs with probability exactly 1/d.
-    """
-
-    fourier_inverse: Operator
-    basis: tuple[StateVector, ...]
-    correct_probability: float
-
-
-def min_error_measurement(channel: Channel) -> MinErrorMeasurement:
-    d = channel.d
-    f = fourier(d)
-    basis = tuple(
-        StateVector((d,), ("P",), f.matrix[:, n].copy()) for n in range(d)
-    )
-    p_correct = float(np.sum(channel.coeffs)) ** 2 / d
-    return MinErrorMeasurement(f.dagger(), basis, p_correct)
 
 
 def separation_filter(channel: Channel, target: Channel) -> KrausPair:
@@ -188,24 +154,15 @@ def separation_filter(channel: Channel, target: Channel) -> KrausPair:
     return _filter_pair(channel, pass_amp)
 
 
-@dataclass(frozen=True, eq=False)
-class MaxConfidenceScheme:
+def max_confidence(channel: Channel) -> KrausPair:
     """Maximum-confidence filter for rank-deficient families (2 <= N < d).
 
-    The conclusive branch maps family member n onto
+    Success = diag(c_min / c_k) on the support, c_min the smallest nonzero
+    coefficient. The conclusive branch maps family member n onto
     (1/sqrt(N)) sum_{k in support} omega^{nk} |k>; Fourier readout then names
-    n with posterior confidence N/d. The inconclusive probability is
-    1 - N c_min^2 with c_min the smallest nonzero coefficient.
+    n with posterior confidence N/d, and the filter fails with probability
+    1 - N c_min^2.
     """
-
-    kraus: KrausPair
-    unitary: Operator
-    confidence: float
-    inconclusive_probability: float
-    support: tuple[int, ...]
-
-
-def max_confidence(channel: Channel, flag: int = 0) -> MaxConfidenceScheme:
     d = channel.d
     n = channel.rank
     if n >= d:
@@ -216,14 +173,7 @@ def max_confidence(channel: Channel, flag: int = 0) -> MaxConfidenceScheme:
     pass_amp = np.zeros(d)
     for k in channel.nonzero_support:
         pass_amp[k] = cmin / channel.coeffs[k]
-    pair = _filter_pair(channel, pass_amp)
-    return MaxConfidenceScheme(
-        pair,
-        filter_unitary(pair, d, flag),
-        n / d,
-        1 - n * cmin**2,
-        channel.nonzero_support,
-    )
+    return _filter_pair(channel, pass_amp)
 
 
 @dataclass(frozen=True, eq=False)
@@ -253,34 +203,18 @@ class EnsembleReadout:
             raise ValueError(f"posterior varies across readouts: {vals}")
         return float(vals[0])
 
-    def correct_probability(self) -> float:
-        return float(np.trace(self.conclusive))
 
-
-def _ensemble_readout(channel: Channel, pass_op: np.ndarray | None) -> EnsembleReadout:
+def max_confidence_readout(channel: Channel) -> EnsembleReadout:
     d = channel.d
-    fam = symmetric_states(channel)
+    pass_op = max_confidence(channel).success.matrix
     f_inv = fourier(d).dagger().matrix
     conclusive = np.zeros((d, d))
     inconclusive = np.zeros(d)
-    for t, psi in enumerate(fam.states):
-        vec = psi.amps if pass_op is None else pass_op @ psi.amps
-        kept = float(np.vdot(vec, vec).real)
+    for t, psi in enumerate(symmetric_states(channel).states):
+        vec = pass_op @ psi.amps
         conclusive[t] = np.abs(f_inv @ vec) ** 2 / d
-        inconclusive[t] = (1.0 - kept) / d
+        inconclusive[t] = (1.0 - float(np.vdot(vec, vec).real)) / d
     return EnsembleReadout(conclusive, inconclusive)
-
-
-def min_error_readout(channel: Channel) -> EnsembleReadout:
-    return _ensemble_readout(channel, None)
-
-
-def usd_readout(channel: Channel) -> EnsembleReadout:
-    return _ensemble_readout(channel, usd_kraus(channel).success.matrix)
-
-
-def max_confidence_readout(channel: Channel) -> EnsembleReadout:
-    return _ensemble_readout(channel, max_confidence(channel).kraus.success.matrix)
 
 
 @dataclass(frozen=True, eq=False)

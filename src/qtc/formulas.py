@@ -17,8 +17,6 @@ actually evaluate the shift-0 branch (names carry a _printed suffix).
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from .symmetric import Channel
@@ -308,12 +306,6 @@ def inconclusive_probability(channel: Channel) -> float:
     if n >= channel.d or n < 2:
         raise ValueError("maximum-confidence readout needs 2 <= N < d nonzero coefficients")
     return 1 - n * channel.min_nonzero() ** 2
-
-
-def shifted_input_overlap(alpha, channel: Channel, m: int) -> float:
-    """Helper sum_k |alpha_k|^2 c_{k+m} used by several closed forms."""
-    w, c = _weights(alpha, channel)
-    return _overlap_sum(w, c, m)
 
 
 def separation_fidelity_qubit_printed(a: complex, b: complex, t0: float, t1: float) -> float:

@@ -21,7 +21,6 @@ and post-state. The register is never materialized: the sender-side steps
 act on X and P alone, so they run on a small sender tensor that is
 contracted with the channel state once per branch, and the reconstruction
 is a gather. The memory budget still counts its d^(2M+1) amplitudes.
-Monte Carlo sampling is layered on top of the exact branch distribution;
 Haar-input averaging compiles each branch's linear map once and evaluates
 all samples with batched products.
 """
@@ -60,11 +59,9 @@ __all__ = [
     "HaarStats",
     "ProtocolConfig",
     "RunReport",
-    "SamplingStats",
     "clone_marginal",
     "compare_to_formulas",
     "haar_average",
-    "monte_carlo",
     "run_exact",
 ]
 
@@ -126,7 +123,6 @@ class BranchResult:
     clone_fidelities: tuple[float, ...] | None
     zero: bool
     ac_state: StateVector | None = None
-    marginal: DensityMatrix | None = None
 
     def key(self) -> tuple:
         return (self.m, self.flag or "", -1 if self.n is None else self.n)
@@ -139,17 +135,6 @@ class FormulaComparison:
     closed_form: float
     abs_diff: float
     status: str  # MATCH | DISCREPANCY
-
-
-@dataclass(frozen=True, eq=False)
-class SamplingStats:
-    samples: int
-    seed: int
-    counts: tuple[int, ...]
-    frequencies: tuple[float, ...]
-    stderr: tuple[float, ...]
-    empirical_average_fidelity: float
-    empirical_stderr: float
 
 
 @dataclass(frozen=True, eq=False)
@@ -170,7 +155,6 @@ class RunReport:
     conditional_averages: dict
     comparisons: tuple[FormulaComparison, ...] = ()
     notes: tuple[str, ...] = ()
-    sampling: SamplingStats | None = None
     haar: HaarStats | None = None
 
     def branch(self, m: int, n: int | None = None, flag: str | None = None) -> BranchResult:
@@ -246,7 +230,6 @@ class _Context:
         self.config = config
         d, m_copies = config.d, config.copies
         self.d = d
-        self.copies = m_copies
         self.chan_amps = channel_state(config.channel, m_copies).amps
         # the budget counts the register X, P, A, C the engine stands for
         check_memory(d ** (2 * m_copies + 1))
@@ -276,7 +259,7 @@ class _Context:
             elif kind == "separation":
                 pair = separation_filter(config.channel, config.strategy.target)
             elif kind == "maxconf":
-                pair = max_confidence(config.channel).kraus
+                pair = max_confidence(config.channel)
             else:
                 pair = None
             if pair is not None:
@@ -355,14 +338,8 @@ def _branch(ctx: _Context, psi: np.ndarray, key: tuple, block: np.ndarray, keep:
     if prob < PROB_FLOOR:
         return BranchResult(m, n, flag, prob, None, True)
     fids = tuple(_clone_fidelity(psi, block, ax) / prob for ax in ctx.clone_axes)
-    state = marg = None
-    if keep:
-        arr = block / math.sqrt(prob)
-        state = StateVector(ctx.ac_shape, ctx.ac_labels, arr)
-        view = arr.reshape(ctx.d ** (ctx.copies - 1), ctx.d, -1)  # ancillas, C1, C2..CM
-        rho = np.matmul(view, view.conj().transpose(0, 2, 1)).sum(axis=0)
-        marg = DensityMatrix((ctx.d,), (ctx.ac_labels[ctx.copies - 1],), rho)
-    return BranchResult(m, n, flag, prob, fids, False, state, marg)
+    state = StateVector(ctx.ac_shape, ctx.ac_labels, block / math.sqrt(prob)) if keep else None
+    return BranchResult(m, n, flag, prob, fids, False, state)
 
 
 def _engine(ctx: _Context, cols: np.ndarray):
@@ -419,32 +396,6 @@ def clone_marginal(branch: BranchResult, clone_index: int = 0) -> DensityMatrix:
         raise ValueError("branch has no post-state (zero probability or states not kept)")
     label = f"C{clone_index + 1}"
     return partial_trace(branch.ac_state, [label])
-
-
-def monte_carlo(config: ProtocolConfig, samples: int, seed: int, input_state: StateVector | None = None) -> RunReport:
-    """Sample branch outcomes from the exact distribution (reproducible)."""
-    report = run_exact(config, input_state, keep_states=False)
-    probs = np.array([b.probability for b in report.branches])
-    probs = np.clip(probs, 0.0, None)
-    probs = probs / probs.sum()
-    rng = np.random.default_rng(seed)
-    counts = rng.multinomial(samples, probs)
-    freqs = counts / samples
-    stderr = np.sqrt(freqs * (1 - freqs) / samples)
-    fids = np.array([0.0 if b.zero else b.clone_fidelities[0] for b in report.branches])
-    emp_avg = float(np.sum(freqs * fids))
-    var = float(np.sum(freqs * fids**2) - emp_avg**2)
-    emp_sem = math.sqrt(max(var, 0.0) / samples)
-    stats = SamplingStats(
-        samples,
-        seed,
-        tuple(int(c) for c in counts),
-        tuple(float(f) for f in freqs),
-        tuple(float(s) for s in stderr),
-        emp_avg,
-        emp_sem,
-    )
-    return replace(report, sampling=stats)
 
 
 def _haar_inputs(spec: HaarSpec, d: int) -> np.ndarray:

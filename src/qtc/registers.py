@@ -1,8 +1,10 @@
-"""Dense state vectors and operators on labeled qudit registers.
+"""Dense states and operators on labeled qudit registers.
 
 Registers are ordered collections of named subsystems; amplitudes are stored
 flat in row-major mixed-radix order over the label order (first label is the
-most significant digit).
+most significant digit). The protocol engine runs on plain arrays; these
+types carry its inputs and its kept post-states, and ``partial_trace`` gives
+the clone marginals. Haar sampling and the amplitude budget live here too.
 """
 
 from __future__ import annotations
@@ -18,18 +20,12 @@ __all__ = [
     "DEFAULT_ATOL",
     "PROB_FLOOR",
     "DensityMatrix",
-    "MeasurementBranch",
     "MemoryBudgetError",
     "Operator",
     "StateVector",
-    "apply",
-    "basis_state",
-    "fidelity",
     "haar_random_state",
-    "measure_projective",
     "memory_budget",
     "partial_trace",
-    "tensor",
 ]
 
 DEFAULT_ATOL = 1e-10
@@ -77,14 +73,12 @@ class StateVector:
 
     ``amps[i]`` is the amplitude of the computational basis state whose
     mixed-radix digits (most significant first, radix ``dims``) encode ``i``.
-    Normalization is enforced unless the state is explicitly flagged as an
-    unnormalized branch remnant.
+    The norm must be 1 within 1e-12.
     """
 
     dims: tuple[int, ...]
     labels: tuple[str, ...]
     amps: np.ndarray
-    normalized: bool = True
 
     def __post_init__(self):
         dims = tuple(int(d) for d in self.dims)
@@ -100,10 +94,9 @@ class StateVector:
             raise ValueError(
                 f"amplitude vector of length {amps.size} does not match dims {dims}"
             )
-        if self.normalized:
-            nrm = math.sqrt(_squared_norm(amps))
-            if abs(nrm - 1.0) > NORM_ATOL:
-                raise ValueError(f"state norm {nrm!r} deviates from 1 beyond {NORM_ATOL}")
+        nrm = math.sqrt(_squared_norm(amps))
+        if abs(nrm - 1.0) > NORM_ATOL:
+            raise ValueError(f"state norm {nrm!r} deviates from 1 beyond {NORM_ATOL}")
         amps.flags.writeable = False
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "labels", labels)
@@ -121,28 +114,6 @@ class StateVector:
 
     def tensor_view(self) -> np.ndarray:
         return self.amps.reshape(self.dims)
-
-    def overlap(self, other: "StateVector") -> complex:
-        if self.dims != other.dims:
-            raise ValueError(f"dimension mismatch: {self.dims} vs {other.dims}")
-        return complex(np.vdot(self.amps, other.amps))
-
-    def reordered(self, labels: Sequence[str]) -> "StateVector":
-        """Same state with subsystems permuted into the given label order."""
-        labels = tuple(labels)
-        if sorted(labels) != sorted(self.labels):
-            raise ValueError(f"{labels} is not a permutation of {self.labels}")
-        perm = [self.axis(lb) for lb in labels]
-        arr = np.transpose(self.tensor_view(), perm)
-        return StateVector(
-            tuple(self.dims[p] for p in perm), labels, arr.reshape(-1), self.normalized
-        )
-
-
-def basis_state(d: int, k: int, label: str = "X") -> StateVector:
-    amps = np.zeros(d, dtype=np.complex128)
-    amps[k % d] = 1.0
-    return StateVector((d,), (label,), amps)
 
 
 @dataclass(frozen=True, eq=False)
@@ -178,7 +149,7 @@ class Operator:
         if self.dims_in != self.dims_out:
             return False
         eye = np.eye(self.matrix.shape[0])
-        return bool(np.allclose(self.matrix.conj().T @ self.matrix, eye, atol=atol))
+        return bool(np.allclose(self.matrix.conj().T @ self.matrix, eye, rtol=0, atol=atol))
 
 
 @dataclass(frozen=True, eq=False)
@@ -198,7 +169,7 @@ class DensityMatrix:
             raise ValueError(f"matrix shape {matrix.shape} does not match dims {dims}")
         if len(labels) != len(dims) or len(set(labels)) != len(labels):
             raise ValueError(f"bad labels {labels} for dims {dims}")
-        if not np.allclose(matrix, matrix.conj().T, atol=NORM_ATOL):
+        if not np.allclose(matrix, matrix.conj().T, rtol=0, atol=NORM_ATOL):
             raise ValueError("density matrix is not Hermitian within 1e-12")
         tr = np.trace(matrix).real
         if abs(tr - 1.0) > DEFAULT_ATOL:
@@ -218,111 +189,11 @@ class DensityMatrix:
             raise ValueError(f"density matrix has negative eigenvalue {lo}")
 
 
-def tensor(a: StateVector, b: StateVector) -> StateVector:
-    """Kronecker product; ``a``'s subsystems become the leading digits."""
-    clash = set(a.labels) & set(b.labels)
-    if clash:
-        raise ValueError(f"label collision in tensor product: {sorted(clash)}")
-    check_memory(a.dim * b.dim)
-    return StateVector(
-        a.dims + b.dims,
-        a.labels + b.labels,
-        np.kron(a.amps, b.amps),
-        a.normalized and b.normalized,
-    )
-
-
 def _target_axes(state: StateVector, targets: Sequence[str]) -> list[int]:
     axes = [state.axis(t) for t in targets]
     if len(set(axes)) != len(axes):
         raise ValueError(f"repeated target labels: {tuple(targets)}")
     return axes
-
-
-def apply(op: Operator, state: StateVector, targets: Sequence[str]) -> StateVector:
-    """Apply ``op`` to the named subsystems, leaving the rest untouched."""
-    axes = _target_axes(state, targets)
-    if op.dims_in != tuple(state.dims[ax] for ax in axes):
-        raise ValueError(
-            f"operator dims {op.dims_in} do not match targets "
-            f"{tuple(state.dims[ax] for ax in axes)}"
-        )
-    if op.dims_in != op.dims_out:
-        raise ValueError("in-place apply requires a square operator")
-    arr = np.moveaxis(state.tensor_view(), axes, range(len(axes)))
-    head = math.prod(op.dims_in)
-    flat = arr.reshape(head, -1)
-    out = (op.matrix @ flat).reshape(arr.shape)
-    out = np.moveaxis(out, range(len(axes)), axes)
-    return StateVector(state.dims, state.labels, out.reshape(-1), state.normalized)
-
-
-@dataclass(frozen=True, eq=False)
-class MeasurementBranch:
-    """One outcome of a projective measurement; zero branches keep post=None."""
-
-    index: int
-    probability: float
-    post: StateVector | None
-    zero: bool
-
-
-def measure_projective(
-    state: StateVector,
-    targets: Sequence[str],
-    basis: Sequence[StateVector],
-    *,
-    atol: float = DEFAULT_ATOL,
-) -> list[MeasurementBranch]:
-    """Measure the named subsystems in the given orthonormal basis.
-
-    Every outcome is returned; branches with probability below 1e-14 are
-    flagged as zero rather than dropped. Post-states keep the full register,
-    with the measured subsystems collapsed onto the outcome basis state.
-    """
-    axes = _target_axes(state, targets)
-    target_dims = tuple(state.dims[ax] for ax in axes)
-    head = math.prod(target_dims)
-    if len(basis) != head:
-        raise ValueError(f"basis of {len(basis)} states cannot span dimension {head}")
-    rows = []
-    for b in basis:
-        if isinstance(b, StateVector):
-            if b.dims != target_dims:
-                raise ValueError(f"basis state dims {b.dims} do not match targets {target_dims}")
-            rows.append(b.amps)
-        else:
-            vec = np.asarray(b, dtype=np.complex128).reshape(-1)
-            if vec.size != head:
-                raise ValueError(f"basis vector of length {vec.size} cannot span dimension {head}")
-            rows.append(vec)
-    bmat = np.stack(rows)
-    gram = bmat.conj() @ bmat.T
-    if not np.allclose(gram, np.eye(head), atol=atol):
-        raise ValueError("measurement basis is not orthonormal within tolerance")
-
-    arr = np.moveaxis(state.tensor_view(), axes, range(len(axes)))
-    flat = arr.reshape(head, -1)
-    coeffs = bmat.conj() @ flat
-    probs = np.einsum("ij,ij->i", coeffs, coeffs.conj()).real
-    if abs(probs.sum() - 1.0) > atol:
-        raise ValueError(f"measurement probabilities sum to {probs.sum()!r}")
-
-    branches: list[MeasurementBranch] = []
-    for i in range(head):
-        p = float(probs[i])
-        if p < PROB_FLOOR:
-            branches.append(MeasurementBranch(i, p, None, True))
-            continue
-        rest = coeffs[i] / math.sqrt(p)
-        post = np.outer(bmat[i], rest).reshape(arr.shape)
-        post = np.moveaxis(post, range(len(axes)), axes)
-        branches.append(
-            MeasurementBranch(
-                i, p, StateVector(state.dims, state.labels, post.reshape(-1)), False
-            )
-        )
-    return branches
 
 
 def _pure_reduced(state: StateVector, keep_axes: Sequence[int]) -> np.ndarray:
@@ -361,20 +232,6 @@ def partial_trace(state, keep: Sequence[str]) -> DensityMatrix:
         m = math.prod(dims)
         return DensityMatrix(dims, tuple(keep), traced.reshape(m, m))
     raise TypeError(f"cannot trace object of type {type(state).__name__}")
-
-
-def fidelity(psi: StateVector, rho: DensityMatrix | StateVector) -> float:
-    """Pure-state fidelity <psi|rho|psi>, clamped into [0, 1]."""
-    if isinstance(rho, StateVector):
-        if psi.dims != rho.dims:
-            raise ValueError(f"dimension mismatch: {psi.dims} vs {rho.dims}")
-        return float(min(1.0, abs(np.vdot(psi.amps, rho.amps)) ** 2))
-    if psi.dims != rho.dims:
-        raise ValueError(f"dimension mismatch: {psi.dims} vs {rho.dims}")
-    val = np.vdot(psi.amps, rho.matrix @ psi.amps).real
-    if val < -DEFAULT_ATOL or val > 1.0 + DEFAULT_ATOL:
-        raise ValueError(f"fidelity {val!r} outside [0, 1]")
-    return float(min(1.0, max(0.0, val)))
 
 
 def haar_random_state(d: int, seed=None, label: str = "X") -> StateVector:

@@ -18,7 +18,7 @@ from qtc import (
     run_exact,
 )
 from qtc import formulas as fm
-from qtc.bell import bell_basis, channel_bell_state, fourier, gxor_operator, reconstruction_unitaries
+from qtc.bell import bell_state, channel_bell_state, fourier, gxor_operator, reconstruction_unitaries
 from qtc.cli import main
 from qtc.discrimination import (
     Strategy,
@@ -289,8 +289,10 @@ def test_criterion_09_structural_suite():
                         assert ua.is_unitary(1e-12) and uc.is_unitary(1e-12)
             # Bell completeness: sum of projectors is the identity on d^2
             total = np.zeros((d * d, d * d), dtype=complex)
-            for _, b in bell_basis(d):
-                total += np.outer(b.amps, b.amps.conj())
+            for n in range(d):
+                for m in range(d):
+                    b = bell_state(d, n, m).amps
+                    total += np.outer(b, b.conj())
             assert np.max(np.abs(total - np.eye(d * d))) < 1e-12
 
             for copies in (2, 3):

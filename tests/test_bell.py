@@ -15,17 +15,26 @@ from qtc import (
     channel_state,
     clone_basis,
     fourier,
-    gxor,
     gxor_operator,
     haar_random_state,
     partial_trace,
     reconstruction_unitaries,
     run_exact,
     symmetric_states,
-    tensor,
 )
-from qtc.bell import bell_basis
 from qtc.formulas import shift_probability
+
+
+def bell_vectors(d):
+    return [bell_state(d, n, m).amps for n in range(d) for m in range(d)]
+
+
+def gxor_px(full: StateVector) -> StateVector:
+    """GXOR with control P and target X on a register whose first two qudits are X, P."""
+    d = full.dims[0]
+    g = gxor_operator(d).matrix.reshape(d, d, d, d)  # (P', X', P, X)
+    out = np.einsum("pxqy,yqr->xpr", g, full.amps.reshape(d, d, -1))
+    return StateVector(full.dims, full.labels, out.reshape(-1))
 
 
 class TestBellStates:
@@ -38,13 +47,13 @@ class TestBellStates:
 
     @pytest.mark.parametrize("d", [2, 3, 4])
     def test_gram_identity(self, d):
-        vecs = [s.amps for _, s in bell_basis(d)]
+        vecs = bell_vectors(d)
         g = np.array([[np.vdot(a, b) for b in vecs] for a in vecs])
         assert np.max(np.abs(g - np.eye(d * d))) < 1e-10
 
     @pytest.mark.parametrize("d", [2, 3])
     def test_completeness(self, d):
-        total = sum(np.outer(s.amps, s.amps.conj()) for _, s in bell_basis(d))
+        total = sum(np.outer(v, v.conj()) for v in bell_vectors(d))
         assert np.max(np.abs(total - np.eye(d * d))) < 1e-12
 
     def test_matches_oracle(self):
@@ -109,14 +118,12 @@ class TestAssemblyEquivalence:
 
 class TestGxor:
     def test_cnot_case(self):
-        psi = tensor(StateVector((2,), ("P",), [0, 1]), StateVector((2,), ("X",), [1, 0]))
-        out = gxor(psi, "P", "X")
-        assert np.allclose(out.amps, [0, 0, 0, 1])
+        psi = np.kron([0, 1], [1, 0])  # |1>_P |0>_X, control first
+        assert np.allclose(gxor_operator(2).matrix @ psi, [0, 0, 0, 1])
 
     def test_d3_fixed_point(self):
-        psi = tensor(StateVector((3,), ("P",), [0, 0, 1]), StateVector((3,), ("X",), [0, 1, 0]))
-        out = gxor(psi, "P", "X")
-        assert np.allclose(out.amps, psi.amps)  # 2 - 1 = 1 mod 3
+        psi = np.kron([0, 0, 1], [0, 1, 0])  # |2>_P |1>_X
+        assert np.allclose(gxor_operator(3).matrix @ psi, psi)  # 2 - 1 = 1 mod 3
 
     @pytest.mark.parametrize("d", [2, 3, 4, 5])
     def test_involution_every_dimension(self, d):
@@ -137,8 +144,9 @@ class TestGxor:
         psi = haar_random_state(d, rng, "X")
         c = np.sqrt([0.5, 0.3, 0.2])
         chan = Channel(c)
-        full = tensor(psi, channel_state(chan, 2))
-        out = gxor(full, "P", "X")
+        xi = channel_state(chan, 2)
+        full = StateVector((d,) + xi.dims, ("X",) + xi.labels, np.kron(psi.amps, xi.amps))
+        out = gxor_px(full)
         rho_p = partial_trace(out, ["P"]).matrix
         assert np.max(np.abs(rho_p - np.diag(c**2))) < 1e-12
         rho_x = partial_trace(out, ["X"]).matrix
@@ -148,9 +156,9 @@ class TestGxor:
     def test_receiver_marginal_can_stay_coherent(self):
         # the X marginal is not diagonal in general: maximal channel and a
         # balanced input leave X in the pure |+> state after GXOR
-        plus = StateVector((2,), ("X",), [1, 1] / np.sqrt(2))
-        full = tensor(plus, channel_state(Channel.maximal(2), 2))
-        out = gxor(full, "P", "X")
+        xi = channel_state(Channel.maximal(2), 2)
+        full = StateVector((2,) + xi.dims, ("X",) + xi.labels, np.kron([1, 1] / np.sqrt(2), xi.amps))
+        out = gxor_px(full)
         rho_x = partial_trace(out, ["X"]).matrix
         assert np.max(np.abs(rho_x - 0.5 * np.ones((2, 2)))) < 1e-12
 

@@ -374,9 +374,25 @@ class TestErrors:
         assert "separation target" in err
 
     def test_unknown_subcommand_exits_one(self, capsys):
-        # argparse's native usage exit is 2; main remaps it to keep 2 = DISCREPANCY
+        # a usage error exits 1, not argparse's 2: exit 2 means DISCREPANCY
         assert main(["teleport"]) == 1
         capsys.readouterr()
+
+    @pytest.mark.parametrize(
+        "argv,needle",
+        [
+            (("simulate", "--seed", "3"), "--seed"),
+            (("simulate", "--d", "x"), "--d"),
+            (("haar", "--frobnicate"), "--frobnicate"),
+        ],
+        ids=["removed-seed", "bad-int", "unknown-flag"],
+    )
+    def test_usage_error_is_one_line(self, capsys, argv, needle):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert needle in err
 
     def test_unwritable_out(self, capsys, tmp_path):
         code, _, err = run_cli(
@@ -399,3 +415,7 @@ class TestErrors:
         assert main(["--version"]) == 0
         out = capsys.readouterr().out
         assert out.startswith("qtc ")
+
+    def test_help_flag(self, capsys):
+        assert main(["simulate", "--help"]) == 0
+        assert capsys.readouterr().out.startswith("usage: qtc simulate")

@@ -12,21 +12,25 @@ from qtc import (
     RankDeficientChannelError,
     Strategy,
     max_confidence,
-    min_error_measurement,
     separation_filter,
     usd_failure_states,
     usd_kraus,
-    usd_unitary,
 )
+from qtc import formulas as fm
 from qtc.bell import fourier, symmetric_states
-from qtc.discrimination import (
-    filter_unitary,
-    max_confidence_readout,
-    min_error_readout,
-    usd_readout,
-)
+from qtc.discrimination import filter_unitary, max_confidence_readout
 
 CHAN82 = Channel(np.sqrt([0.8, 0.2]))
+
+
+def readout_table(chan, pass_op=None):
+    """Joint probabilities [t, n] of preparing family member t, passing the
+    filter ``pass_op`` (none: always pass) and reading n after the inverse
+    Fourier transform, uniform prior."""
+    d = chan.d
+    fam = np.stack([s.amps for s in symmetric_states(chan).states], axis=1)
+    kept = fam if pass_op is None else pass_op @ fam
+    return (np.abs(fourier(d).matrix.conj().T @ kept) ** 2).T / d
 
 
 def random_full_rank(d, seed):
@@ -44,7 +48,7 @@ def filter_pair(kind, d):
     # rank-deficient channel with a hole inside the support
     c = np.random.default_rng(60 + d).random(d) + 0.15
     c[1] = 0.0
-    return max_confidence(Channel(c / np.linalg.norm(c))).kraus
+    return max_confidence(Channel(c / np.linalg.norm(c)))
 
 
 def diagonal_pair(success, fail):
@@ -79,13 +83,13 @@ class TestUsdKraus:
 
 class TestFilterUnitary:
     def test_maximal_block_identity(self):
-        u = usd_unitary(Channel.maximal(2))
+        u = filter_unitary(usd_kraus(Channel.maximal(2)), 2)
         assert np.max(np.abs(u.matrix - np.eye(4))) < 1e-12
 
     def test_success_projection_norms(self):
         # project the flag slot back on the incoming flag value: the squared
         # norm is the success probability c_min^2 * d / d = 0.4 per state
-        u = usd_unitary(CHAN82, flag=0)
+        u = filter_unitary(usd_kraus(CHAN82), 2, flag=0)
         fam = symmetric_states(CHAN82)
         for n in range(2):
             inp = np.kron(fam.states[n].amps, [1, 0])
@@ -94,11 +98,11 @@ class TestFilterUnitary:
 
     @pytest.mark.parametrize("seed", range(4))
     def test_unitarity_random_channels(self, seed):
-        u = usd_unitary(random_full_rank(3, seed), flag=seed % 3)
+        u = filter_unitary(usd_kraus(random_full_rank(3, seed)), 3, flag=seed % 3)
         assert u.is_unitary(1e-10)
 
     def test_flag_offset_moves_failure_slot(self):
-        u = usd_unitary(CHAN82, flag=1)
+        u = filter_unitary(usd_kraus(CHAN82), 2, flag=1)
         fam = symmetric_states(CHAN82)
         inp = np.kron(fam.states[0].amps, [0, 1])
         out = (u.matrix @ inp).reshape(2, 2)
@@ -204,31 +208,23 @@ class TestUsdFailureStates:
 
 
 class TestMinError:
-    def test_basis_is_fourier(self):
-        meas = min_error_measurement(CHAN82)
-        f = fourier(2).matrix
-        for n, col in enumerate(meas.basis):
-            assert np.max(np.abs(col.amps - f[:, n])) < 1e-12
+    """Minimum error: the inverse Fourier readout of the unfiltered family."""
 
     def test_correct_probability_frozen(self):
         # (c_0 + c_1)^2 / d with c = (sqrt(0.8), sqrt(0.2)): exactly 0.9
-        meas = min_error_measurement(CHAN82)
-        assert meas.correct_probability == pytest.approx(0.9, abs=1e-12)
+        assert np.trace(readout_table(CHAN82)) == pytest.approx(0.9, abs=1e-12)
 
     def test_maximal_always_correct(self):
-        meas = min_error_measurement(Channel.maximal(3))
-        assert meas.correct_probability == pytest.approx(1.0, abs=1e-12)
+        assert np.trace(readout_table(Channel.maximal(3))) == pytest.approx(1.0, abs=1e-12)
 
     def test_readout_marginal_uniform(self):
-        ro = min_error_readout(Channel(np.sqrt([0.5, 0.3, 0.2])))
-        assert np.allclose(ro.readout_marginal(), [1 / 3] * 3, atol=1e-12)
-        assert ro.correct_probability() == pytest.approx(
-            (np.sum(np.sqrt([0.5, 0.3, 0.2])) ** 2) / 3, abs=1e-12
-        )
+        chan = Channel(np.sqrt([0.5, 0.3, 0.2]))
+        table = readout_table(chan)
+        assert np.allclose(table.sum(axis=0), [1 / 3] * 3, atol=1e-12)
+        assert np.trace(table) == pytest.approx(fm.min_error_correct_probability(chan), abs=1e-12)
 
     def test_conclusive_rows_sum_to_one(self):
-        ro = min_error_readout(CHAN82)
-        assert ro.conclusive.sum() + ro.inconclusive.sum() == pytest.approx(1.0, abs=1e-12)
+        assert readout_table(CHAN82).sum() == pytest.approx(1.0, abs=1e-12)
 
 
 class TestSeparation:
@@ -265,16 +261,23 @@ class TestSeparation:
             separation_filter(Channel(np.sqrt([0.7, 0.3, 0.0])), Channel.maximal(3))
 
 
+def inconclusive_probability(chan):
+    """Mass the maximum-confidence filter rejects, read from its Kraus pair."""
+    fail = max_confidence(chan).fail.matrix
+    return float(np.mean([np.linalg.norm(fail @ s.amps) ** 2 for s in symmetric_states(chan).states]))
+
+
 class TestMaxConfidence:
     def test_two_state_qutrit_confidence(self):
-        scheme = max_confidence(Channel(np.sqrt([0.5, 0.5, 0.0])))
-        assert scheme.confidence == pytest.approx(2 / 3, abs=1e-12)
-        assert scheme.inconclusive_probability == pytest.approx(0.0, abs=1e-12)
+        chan = Channel(np.sqrt([0.5, 0.5, 0.0]))
+        assert max_confidence_readout(chan).posterior_correct() == pytest.approx(2 / 3, abs=1e-12)
+        assert inconclusive_probability(chan) == pytest.approx(0.0, abs=1e-12)
 
     def test_asymmetric_qutrit(self):
-        scheme = max_confidence(Channel(np.sqrt([0.7, 0.3, 0.0])))
-        assert scheme.inconclusive_probability == pytest.approx(0.4, abs=1e-12)
-        assert scheme.confidence == pytest.approx(2 / 3, abs=1e-12)
+        chan = Channel(np.sqrt([0.7, 0.3, 0.0]))
+        assert inconclusive_probability(chan) == pytest.approx(0.4, abs=1e-12)
+        assert max_confidence_readout(chan).inconclusive.sum() == pytest.approx(0.4, abs=1e-12)
+        assert max_confidence_readout(chan).posterior_correct() == pytest.approx(2 / 3, abs=1e-12)
 
     def test_d4_posterior_from_bayes(self):
         chan = Channel(np.sqrt([0.6, 0.4, 0.0, 0.0]))
@@ -284,16 +287,15 @@ class TestMaxConfidence:
 
     def test_uniform_support_never_inconclusive(self):
         chan = Channel(np.sqrt([1 / 3, 1 / 3, 1 / 3, 0.0]))
-        scheme = max_confidence(chan)
-        assert scheme.inconclusive_probability == pytest.approx(0.0, abs=1e-12)
+        assert inconclusive_probability(chan) == pytest.approx(0.0, abs=1e-12)
 
     def test_kraus_completeness_on_support(self):
-        scheme = max_confidence(Channel(np.sqrt([0.7, 0.3, 0.0])))
-        assert scheme.kraus.completeness_defect() < 1e-12
+        pair = max_confidence(Channel(np.sqrt([0.7, 0.3, 0.0])))
+        assert pair.completeness_defect() < 1e-12
 
     def test_unitary_dilation(self):
-        scheme = max_confidence(Channel(np.sqrt([0.55, 0.25, 0.2, 0.0])))
-        assert scheme.unitary.is_unitary(1e-10)
+        pair = max_confidence(Channel(np.sqrt([0.55, 0.25, 0.2, 0.0])))
+        assert filter_unitary(pair, 4).is_unitary(1e-10)
 
     def test_full_rank_rejected(self):
         with pytest.raises(ValueError, match="unambiguous"):
@@ -307,14 +309,14 @@ class TestMaxConfidence:
 class TestUsdReadout:
     def test_success_readout_is_error_free(self):
         chan = random_full_rank(3, 5)
-        ro = usd_readout(chan)
-        off = ro.conclusive - np.diag(np.diag(ro.conclusive))
+        table = readout_table(chan, usd_kraus(chan).success.matrix)
+        off = table - np.diag(np.diag(table))
         assert np.max(np.abs(off)) < 1e-12
-        assert ro.posterior_correct() == pytest.approx(1.0, abs=1e-12)
+        assert np.trace(table) == pytest.approx(fm.usd_success_probability(chan), abs=1e-12)
 
     def test_inconclusive_mass(self):
-        ro = usd_readout(CHAN82)
-        assert ro.inconclusive.sum() == pytest.approx(0.6, abs=1e-12)
+        table = readout_table(CHAN82, usd_kraus(CHAN82).success.matrix)
+        assert 1 - table.sum() == pytest.approx(0.6, abs=1e-12)
 
 
 class TestStrategy:

@@ -405,14 +405,3 @@ class TestMaxConfidence:
             fm.discrimination_confidence(chan)
         with pytest.raises(ValueError):
             fm.inconclusive_probability(chan)
-
-
-class TestOverlapHelper:
-    def test_matches_manual_sum(self):
-        w = np.abs(ALPHA2) ** 2
-        c = CHAN82.coeffs
-        for m in range(2):
-            want = sum(w[k] * c[(k + m) % 2] for k in range(2))
-            assert fm.shifted_input_overlap(ALPHA2, CHAN82, m) == pytest.approx(
-                want, abs=1e-14
-            )
