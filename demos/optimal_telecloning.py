@@ -17,7 +17,7 @@ from qtc.symmetric import Channel
 
 rng = np.random.default_rng(7)
 
-for d, copies in [(2, 2), (2, 3), (3, 2), (5, 2)]:
+for d, copies in [(2, 2), (2, 3), (3, 2), (5, 2), (2, 64)]:
     # a random unknown input state; the result must not depend on it
     psi = haar_random_state(d, rng)
     config = ProtocolConfig(

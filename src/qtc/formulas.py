@@ -86,27 +86,37 @@ def _overlap_sum(w: np.ndarray, c: np.ndarray, m: int) -> float:
     return float(np.sum(w * np.roll(c, -m)))
 
 
-def clone_fidelity_m(alpha, channel: Channel, m: int) -> float:
-    """Per-branch 1->2 clone fidelity without discrimination.
+def _shrinking(d: int, copies: int) -> tuple[float, float]:
+    """(1 - eta_M)/d and eta_M = (M+d)/(M(d+1)), Werner's shrinking factor.
 
+    A clone of the universal 1->M cloner is eta_M rho + (1 - eta_M) I/d for
+    the state rho it is fed (R. F. Werner, PRA 58, 1827 (1998)). Both are
+    built from 1/(M(d+1)), so M=2 gives the 1->2 forms' exact arithmetic.
+    """
+    unit = 1 / (copies * (d + 1))
+    return unit * (copies - 1), unit * (copies + d)
+
+
+def clone_fidelity_m(alpha, channel: Channel, m: int, copies: int = 2) -> float:
+    """Per-branch 1->M clone fidelity without discrimination.
+
+    (1 - eta_M)/d + eta_M * (sum_k |alpha_k|^2 c_{k+m})^2 / P_m; at M=2,
     1/(2(d+1)) + (2+d)/(2(d+1)) * (sum_k |alpha_k|^2 c_{k+m})^2 / P_m
     """
     w, c = _weights(alpha, channel)
-    d = channel.d
     pm = shift_probability(alpha, channel, m)
     if pm < 1e-14:
         raise ZeroDivisionError(f"branch m={m} has zero probability")
-    base = 1 / (2 * (d + 1))
-    return base + base * (2 + d) * _overlap_sum(w, c, m) ** 2 / pm
+    base, eta = _shrinking(channel.d, copies)
+    return base + eta * _overlap_sum(w, c, m) ** 2 / pm
 
 
-def clone_fidelity_avg(alpha, channel: Channel) -> float:
-    """Branch-averaged 1->2 fidelity: the P_m weights cancel the 1/P_m."""
+def clone_fidelity_avg(alpha, channel: Channel, copies: int = 2) -> float:
+    """Branch-averaged 1->M fidelity: the P_m weights cancel the 1/P_m."""
     w, c = _weights(alpha, channel)
-    d = channel.d
-    base = 1 / (2 * (d + 1))
-    total = sum(_overlap_sum(w, c, m) ** 2 for m in range(d))
-    return base + base * (2 + d) * total
+    base, eta = _shrinking(channel.d, copies)
+    total = sum(_overlap_sum(w, c, m) ** 2 for m in range(channel.d))
+    return base + eta * total
 
 
 def clone_fidelity_qubit_printed(a: complex, b: complex, c0: float, c1: float) -> float:
@@ -151,18 +161,18 @@ def usd_success_probability(channel: Channel) -> float:
     return channel.d * channel.c_min**2
 
 
-def failure_fidelity_m(alpha, channel: Channel, m: int, normalization: str = "branch") -> float:
-    """Clone fidelity of the discrimination-failure branch with shift m (1->2).
+def failure_fidelity_m(alpha, channel: Channel, m: int, normalization: str = "branch", copies: int = 2) -> float:
+    """Clone fidelity of the discrimination-failure branch with shift m (1->M).
 
-    1/(2(d+1)) + (2+d)/(2(d+1)) * sum_j |alpha_j|^2 |alpha_{j+m}|^2
-                                     (c_{j+m}^2 - c_min^2) / W
+    (1 - eta_M)/d + eta_M * sum_j |alpha_j|^2 |alpha_{j+m}|^2
+                               (c_{j+m}^2 - c_min^2) / W,
+    with eta_M as in ``clone_fidelity_m``.
 
     normalization 'branch' uses the failure-branch weight
     W = P_m - c_min^2 (what the simulation reproduces); 'printed' uses
     W = P_m as published.
     """
     w, c = _weights(alpha, channel)
-    d = channel.d
     cmin2 = channel.c_min**2
     pm = shift_probability(alpha, channel, m)
     if normalization == "branch":
@@ -174,8 +184,8 @@ def failure_fidelity_m(alpha, channel: Channel, m: int, normalization: str = "br
     if abs(weight) < 1e-14:
         raise ZeroDivisionError(f"failure branch m={m} has zero weight")
     seg = float(np.sum(w * np.roll(w, -m) * (np.roll(c, -m) ** 2 - cmin2)))
-    base = 1 / (2 * (d + 1))
-    return base + base * (2 + d) * seg / weight
+    base, eta = _shrinking(channel.d, copies)
+    return base + eta * seg / weight
 
 
 def failure_fidelity_avg(d: int) -> float:

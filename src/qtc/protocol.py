@@ -19,8 +19,21 @@ engine runs on inputs stacked as columns and yields unnormalized branch
 blocks; a single finishing step turns a block into probability, fidelities
 and post-state. The register is never materialized: the sender-side steps
 act on X and P alone, so they run on a small sender tensor that is
-contracted with the channel state once per branch, and the reconstruction
-is a gather. The memory budget still counts its d^(2M+1) amplitudes.
+contracted with the channel state once per branch.
+
+Ancillas and clones are carried in symmetric occupation coordinates. Every
+channel slice, and so every branch block, lies in Sym^(M-1)(A) (x) Sym^M(C)
+(Murao, Jonathan, Plenio and Vedral, PRA 59, 156 (1999)), which takes
+D_(M-1) * D_M coordinates, D_k = binom(d+k-1, k), instead of d^(2M-1).
+Three tables, built in closed form from occupation numbers, do the work:
+
+* channel: slice j holds c_j sqrt(d/D_M) sqrt(n_j/M) at (n - e_j, n);
+* reconstruction: U^(x)k of a monomial U maps occupation n to a permuted
+  occupation times prod_v phase_v^(n_v), so it is one gather;
+* annihilation: a_v |n> = sqrt(n_v) |n - e_v>. A clone's reduced state is
+  rho_uv = <a_v B, a_u B> / M for a normalized block B, so every clone has
+  the fidelity ||sum_v psi_v* a_v B||^2 / M.
+
 Haar-input averaging compiles each branch's linear map once and evaluates
 all samples with batched products.
 """
@@ -41,15 +54,8 @@ from .discrimination import (
     separation_filter,
     usd_kraus,
 )
-from .registers import (
-    DEFAULT_ATOL,
-    PROB_FLOOR,
-    DensityMatrix,
-    StateVector,
-    check_memory,
-    partial_trace,
-)
-from .symmetric import Channel, ancilla_labels, channel_state, clone_labels
+from .registers import DEFAULT_ATOL, PROB_FLOOR, DensityMatrix, StateVector, check_memory
+from .symmetric import Channel, SymmetricState, occupation_index, occupations, raising
 from . import formulas
 
 __all__ = [
@@ -122,7 +128,7 @@ class BranchResult:
     probability: float
     clone_fidelities: tuple[float, ...] | None
     zero: bool
-    ac_state: StateVector | None = None
+    ac_state: SymmetricState | None = None
 
     def key(self) -> tuple:
         return (self.m, self.flag or "", -1 if self.n is None else self.n)
@@ -189,60 +195,63 @@ def _monomial(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return index, np.take_along_axis(mats, index[..., None], axis=-1)[..., 0]
 
 
-def _tensor_power(index: np.ndarray, phase: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gather vectors of the k-fold tensor powers of stacked monomials (rows of ``index``/``phase``).
+def _symmetric_power(index: np.ndarray, phase: np.ndarray, occ: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Gathers of U^(x)k on Sym^k for stacked monomials (rows of ``index``/``phase``).
 
-    Row r of the result holds flat indices and phases of length d^k, first
-    qudit most significant.
+    ``occ`` lists the occupations of Sym^k. Since (U v)[r] = phase_r v[index_r],
+    U^(x)k takes the basis state with occupation n', n'[index_v] = n_v, to
+    the one with occupation n, times prod_v phase_v^(n_v). Row r of the
+    result holds that source state and that phase for every n.
     """
-    rows, d = index.shape
-    flat = np.zeros((rows, 1), dtype=np.intp)
-    phases = np.ones((rows, 1), dtype=np.complex128)
-    for _ in range(k):
-        flat = (flat[:, :, None] * d + index[:, None, :]).reshape(rows, -1)
-        phases = (phases[:, :, None] * phase[:, None, :]).reshape(rows, -1)
-    return flat, phases
+    inverse = np.argsort(index, axis=-1)  # inverse[r, index[r, v]] = v
+    source = occ[:, inverse].transpose(1, 0, 2)  # source[r, i, index[r, v]] = occ[i, v]
+    return occupation_index(source), np.prod(phase[:, None, :] ** occ[None, :, :], axis=-1)
 
 
-def _clone_fidelity(psi: np.ndarray, block: np.ndarray, axis: int) -> float:
-    """Squared norm of <psi| contracted into axis ``axis`` of ``block``.
+def _lowered(blocks: np.ndarray, raised: np.ndarray, root: np.ndarray) -> np.ndarray:
+    """The annihilated blocks a_v B of (..., ancilla, clone, K) blocks B, shaped (..., ancilla, v, x, K).
 
-    For a normalized block this is the fidelity of the qudit on that axis
-    with psi; it is read on a reshaped view, one term per basis value.
+    ``raised`` and ``root`` are ``raising``'s tables: a_v |n'> = sqrt(n'_v) |n' - e_v>,
+    so (a_v B)[a, x] = root[v, x] B[a, raised[v, x]].
     """
-    d = psi.size
-    view = block.reshape(d**axis, d, -1)
-    proj = view[:, 0] * psi[0].conjugate()
-    for c in range(1, d):
-        proj += view[:, c] * psi[c].conjugate()
-    return float(np.vdot(proj, proj).real)
+    return blocks[..., raised, :] * root[:, :, None]
 
 
 class _Context:
-    """Input-independent machinery of one configuration: the channel state,
-    the sender operator, the filter dilations and the reconstruction gathers.
+    """Input-independent machinery of one configuration: the channel, the
+    sender operator, the filter dilations and the symmetric-coordinate
+    tables.
 
     Sender tensors are indexed by the branch (or the physical P), then the
-    channel's P index, then the input column.
+    channel's P index, then the input column. Branch blocks are indexed by
+    the ancilla occupation and the clone occupation, flattened, then the
+    input column.
     """
 
     def __init__(self, config: ProtocolConfig):
         self.config = config
         d, m_copies = config.d, config.copies
         self.d = d
-        self.chan_amps = channel_state(config.channel, m_copies).amps
-        # the budget counts the register X, P, A, C the engine stands for
-        check_memory(d ** (2 * m_copies + 1))
-        self.chan_t = self.chan_amps.reshape(d, -1).T  # (AC, channel P)
+        self.ac_dims = (math.comb(d + m_copies - 2, m_copies - 1), math.comb(d + m_copies - 1, m_copies))
+        filtered = config.flow == "gxor" and config.strategy.kind in ("usd", "separation", "maxconf")
+        self.branch_count = d * d * (2 if filtered else 1)
+        # the largest table built below: the reconstruction gathers, d^2
+        # outcomes times D_M occupations of d entries, which outgrow the d^4
+        # of the sender operator and the reconstruction matrices, unless a
+        # filter's d dilations of d^4 amplitudes each are larger
+        check_memory(max(d**3 * self.ac_dims[1], d**5 if filtered else 0))
+        # creating value j on ancilla occupation a gives clone occupation
+        # raised[j, a], with factor root[j, a]
+        self.raised, self.root = raising(d, m_copies)
+        self.anc = np.arange(self.ac_dims[0])
+        scale = config.channel.coeffs * math.sqrt(d / (self.ac_dims[1] * m_copies))
+        self.chan_amps = scale[:, None] * self.root  # channel slice j at (a, raised[j, a])
         self.weights = config.channel.coeffs**2  # squared norms of the channel's P slices
-        self.ac_shape = (d,) * (2 * m_copies - 1)
-        self.clone_axes = tuple(range(m_copies - 1, 2 * m_copies - 1))
-        self.ac_labels = ancilla_labels(m_copies) + clone_labels(m_copies)
         ua, uc = reconstruction_matrices(d, config.recon_variant)
-        # per (n, m) at row n*d + m: ancilla index and phase, clone index and phase
+        # per (n, m) at row n*d + m: ancilla source and phase, clone source and phase
         self.recon = (
-            *_tensor_power(*_monomial(ua.reshape(d * d, d, d)), m_copies - 1),
-            *_tensor_power(*_monomial(uc.reshape(d * d, d, d)), m_copies),
+            *_symmetric_power(*_monomial(ua.reshape(d * d, d, d)), occupations(d, m_copies - 1)),
+            *_symmetric_power(*_monomial(uc.reshape(d * d, d, d)), occupations(d, m_copies)),
         )
         if config.flow == "bell":
             self.bell_order = [(n, m) for n in range(d) for m in range(d)]
@@ -276,8 +285,13 @@ class _Context:
         self.sender = sender.reshape(d * d, d, d).transpose(0, 2, 1)
 
     def lift(self, core: np.ndarray) -> np.ndarray:
-        """Contract a (channel P, K) sender slice with the channel: shape (AC, K)."""
-        return self.chan_t @ core
+        """Contract a (channel P, K) sender slice with the channel: shape (AC, K).
+
+        The slices of the channel have disjoint supports, so this is one scatter.
+        """
+        out = np.zeros(self.ac_dims + core.shape[-1:], dtype=np.complex128)
+        out[self.anc, self.raised] = self.chan_amps[:, :, None] * core[:, None, :]
+        return out.reshape(-1, core.shape[-1])
 
     def mass(self, core: np.ndarray) -> np.ndarray:
         """Squared norm, per input column, of the state a (P, channel P, K) sender tensor stands for."""
@@ -290,6 +304,16 @@ class _Context:
         out *= pa[:, None, None]
         out *= pc[None, :, None]
         return out.reshape(block.shape)
+
+    def clone_weight(self, block: np.ndarray, psis: np.ndarray) -> np.ndarray:
+        """||sum_v psi_v* a_v B||^2 / M per input column of (..., AC, K) blocks and (d, K) inputs.
+
+        For a block of squared norm p this is p times the fidelity of every
+        clone with its column of ``psis``.
+        """
+        blocks = block.reshape(block.shape[:-2] + self.ac_dims + block.shape[-1:])
+        proj = np.einsum("...avxk,vk->...axk", _lowered(blocks, self.raised, self.root), psis.conj())
+        return np.einsum("...axk,...axk->...k", proj, proj.conj()).real / self.config.copies
 
 
 # An engine pass maps K inputs stacked as columns to unnormalized branch
@@ -332,19 +356,24 @@ def _run_gxor(ctx: _Context, cores: np.ndarray):
 
 
 def _branch(ctx: _Context, psi: np.ndarray, key: tuple, block: np.ndarray, keep: bool) -> BranchResult:
-    """Finish one branch of one input from its unnormalized block (shape (AC,))."""
+    """Finish one branch of one input (a (d, 1) column) from its unnormalized block (shape (AC, 1))."""
     m, n, flag = key
     prob = float(np.vdot(block, block).real)
     if prob < PROB_FLOOR:
         return BranchResult(m, n, flag, prob, None, True)
-    fids = tuple(_clone_fidelity(psi, block, ax) / prob for ax in ctx.clone_axes)
-    state = StateVector(ctx.ac_shape, ctx.ac_labels, block / math.sqrt(prob)) if keep else None
+    fids = (float(ctx.clone_weight(block, psi)[0]) / prob,) * ctx.config.copies
+    state = None
+    if keep:
+        state = SymmetricState(ctx.d, ctx.config.copies, block.reshape(ctx.ac_dims) / math.sqrt(prob))
     return BranchResult(m, n, flag, prob, fids, False, state)
 
 
 def _engine(ctx: _Context, cols: np.ndarray):
     """Contract the inputs with the sender operator, then run the flow's branches lazily."""
-    check_memory(ctx.chan_amps.size * cols.size)  # the register X, P, A, C per input column
+    # the largest array of a pass is clone_weight's annihilation gather, d
+    # blocks per input column; the sender tensors of d^3 per column are no
+    # larger than the tables checked in _Context
+    check_memory(ctx.d * math.prod(ctx.ac_dims) * cols.shape[1])
     runner = _run_bell if ctx.config.flow == "bell" else _run_gxor
     return runner(ctx, ctx.sender @ cols)
 
@@ -382,20 +411,26 @@ def run_exact(config: ProtocolConfig, input_state: StateVector | None = None, *,
     """Enumerate every protocol branch exactly for one input state."""
     state = _resolve_input(config, input_state)
     ctx = _Context(config)
-    psi = state.amps
-    branches = [
-        _branch(ctx, psi, key, block[:, 0], keep_states)
-        for key, block in _engine(ctx, psi[:, None])
-    ]
+    col = state.amps[:, None]
+    branches = [_branch(ctx, col, key, block, keep_states) for key, block in _engine(ctx, col)]
     return _assemble(config, state, branches)
 
 
 def clone_marginal(branch: BranchResult, clone_index: int = 0) -> DensityMatrix:
-    """Reduced state of clone ``clone_index`` (0-based) in a non-zero branch."""
-    if branch.ac_state is None:
+    """Reduced state of clone ``clone_index`` (0-based) in a non-zero branch.
+
+    From the kept symmetric block B: rho_uv = <a_v B, a_u B> / M, the same
+    for every clone.
+    """
+    state = branch.ac_state
+    if state is None:
         raise ValueError("branch has no post-state (zero probability or states not kept)")
-    label = f"C{clone_index + 1}"
-    return partial_trace(branch.ac_state, [label])
+    if not 0 <= clone_index < state.copies:
+        raise ValueError(f"clone index {clone_index} out of range for M={state.copies}")
+    lowered = _lowered(state.amps[:, :, None], *raising(state.d, state.copies))[..., 0]
+    rows = lowered.transpose(1, 0, 2).reshape(state.d, -1)
+    rho = rows @ rows.conj().T / state.copies
+    return DensityMatrix((state.d,), (f"C{clone_index + 1}",), rho)
 
 
 def _haar_inputs(spec: HaarSpec, d: int) -> np.ndarray:
@@ -424,8 +459,8 @@ def haar_average(config: ProtocolConfig) -> RunReport:
     inputs gives each branch's linear map L_b from the input to its
     unnormalized post-state. Each sample psi then costs only batched
     products: the branch probability is |L_b psi|^2 and the
-    probability-weighted clone-1 fidelity is the squared norm of L_b psi
-    contracted with psi* on C1. Sample i is drawn from
+    probability-weighted clone fidelity is ||sum_v psi_v* a_v L_b psi||^2 / M,
+    the contraction ``run_exact`` uses. Sample i is drawn from
     ``default_rng([seed, i])``, so results do not depend on how the samples
     might be split. Branch entries carry mean probabilities and
     probability-weighted mean fidelities; class statistics are means with
@@ -437,15 +472,13 @@ def haar_average(config: ProtocolConfig) -> RunReport:
         raise TypeError("haar_average needs a HaarSpec input in the configuration")
     d = config.d
     ctx = _Context(config)
+    check_memory(ctx.branch_count * math.prod(ctx.ac_dims) * d)  # the stacked maps
     compiled = list(_engine(ctx, np.eye(d, dtype=np.complex128)))
     keys = [key for key, _ in compiled]
     maps = np.stack([block for _, block in compiled])  # (branch, AC, input)
     deviation = np.max(np.abs(np.einsum("bxj,bxk->jk", maps.conj(), maps) - np.eye(d)))
     if deviation > DEFAULT_ATOL:
         raise AssertionError(f"sum of L_b^dag L_b deviates from the identity by {deviation!r}")
-    # ancillas A1..A(M-1), then C1, then C2..CM
-    side = d ** (config.copies - 1)
-    maps = maps.reshape(len(keys), side, d, side, d)
 
     psis = _haar_inputs(spec, d)
     probs = np.empty((len(keys), spec.samples))
@@ -453,10 +486,9 @@ def haar_average(config: ProtocolConfig) -> RunReport:
     step = max(1, HAAR_CHUNK // maps[..., 0].size)
     for lo in range(0, spec.samples, step):
         cols = psis[:, lo : lo + step]
-        amps = np.einsum("bacrj,jn->bacrn", maps, cols)
-        probs[:, lo : lo + step] = np.einsum("bacrn,bacrn->bn", amps, amps.conj()).real
-        c1 = np.einsum("bacrn,cn->barn", amps, cols.conj())
-        weighted[:, lo : lo + step] = np.einsum("barn,barn->bn", c1, c1.conj()).real
+        amps = maps @ cols
+        probs[:, lo : lo + step] = np.einsum("bxn,bxn->bn", amps, amps.conj()).real
+        weighted[:, lo : lo + step] = ctx.clone_weight(amps, cols)
     zero = probs < PROB_FLOOR
     weighted[zero] = 0.0
     live_probs = np.where(zero, 0.0, probs)
@@ -531,26 +563,27 @@ def compare_to_formulas(report: RunReport, tol: float = COMPARE_TOL) -> RunRepor
         for n in range(d):
             sim = sum(b.probability for b in branches if b.n == n)
             comps.append(_compare(f"readout_probability[n={n}]", sim, 1 / d, tol))
-        if two_copies:
-            for m in range(d):
-                fid, mass = _weighted_fidelity(branches, lambda b, m=m: b.m == m)
-                if mass < PROB_FLOOR:
-                    continue
-                comps.append(_compare(f"clone_fidelity[m={m}]", fid, formulas.clone_fidelity_m(alpha, chan, m), tol))
-            comps.append(_compare("clone_fidelity_avg", report.average_fidelity, formulas.clone_fidelity_avg(alpha, chan), tol))
-            if d == 2:
-                fid0, mass0 = _weighted_fidelity(branches, lambda b: b.m == 0)
-                if mass0 > PROB_FLOOR:
-                    printed = formulas.clone_fidelity_qubit_printed(
-                        alpha[0], alpha[1], chan.coeffs[0], chan.coeffs[1]
+        for m in range(d):
+            fid, mass = _weighted_fidelity(branches, lambda b, m=m: b.m == m)
+            if mass < PROB_FLOOR:
+                continue
+            want = formulas.clone_fidelity_m(alpha, chan, m, m_copies)
+            comps.append(_compare(f"clone_fidelity[m={m}]", fid, want, tol))
+        want = formulas.clone_fidelity_avg(alpha, chan, m_copies)
+        comps.append(_compare("clone_fidelity_avg", report.average_fidelity, want, tol))
+        if two_copies and d == 2:
+            fid0, mass0 = _weighted_fidelity(branches, lambda b: b.m == 0)
+            if mass0 > PROB_FLOOR:
+                printed = formulas.clone_fidelity_qubit_printed(
+                    alpha[0], alpha[1], chan.coeffs[0], chan.coeffs[1]
+                )
+                comps.append(_compare("clone_fidelity_qubit[printed]", fid0, printed, tol))
+                if abs(printed - report.average_fidelity) > tol:
+                    notes.append(
+                        "printed qubit expression evaluates the shift-0 branch "
+                        f"({printed:.12f}); the branch-weighted mean is "
+                        f"{report.average_fidelity:.12f}"
                     )
-                    comps.append(_compare("clone_fidelity_qubit[printed]", fid0, printed, tol))
-                    if abs(printed - report.average_fidelity) > tol:
-                        notes.append(
-                            "printed qubit expression evaluates the shift-0 branch "
-                            f"({printed:.12f}); the branch-weighted mean is "
-                            f"{report.average_fidelity:.12f}"
-                        )
         if chan.is_maximal:
             comps.append(_compare("optimal_fidelity", report.average_fidelity, formulas.optimal_fidelity(d, m_copies), tol))
         if kind == "minerror" and two_copies:
@@ -569,25 +602,25 @@ def compare_to_formulas(report: RunReport, tol: float = COMPARE_TOL) -> RunRepor
         fid, mass = _weighted_fidelity(branches, lambda b: b.flag == "success")
         if mass > PROB_FLOOR:
             comps.append(_compare("success_fidelity_vs_optimal", fid, formulas.optimal_fidelity(d, m_copies), tol))
-        if two_copies:
-            certified = []
-            for m in range(d):
-                fid, mass = _weighted_fidelity(branches, lambda b, m=m: b.m == m and b.flag == "fail")
-                if mass < PROB_FLOOR:
-                    continue
-                want = formulas.failure_fidelity_m(alpha, chan, m, "branch")
-                comps.append(_compare(f"failure_fidelity[m={m}]", fid, want, tol))
-                certified.append(abs(fid - want) <= tol)
+        certified = []
+        for m in range(d):
+            fid, mass = _weighted_fidelity(branches, lambda b, m=m: b.m == m and b.flag == "fail")
+            if mass < PROB_FLOOR:
+                continue
+            want = formulas.failure_fidelity_m(alpha, chan, m, "branch", m_copies)
+            comps.append(_compare(f"failure_fidelity[m={m}]", fid, want, tol))
+            certified.append(abs(fid - want) <= tol)
+            if two_copies:
                 printed = formulas.failure_fidelity_m(alpha, chan, m, "printed")
                 notes.append(
                     f"failure fidelity m={m}: simulated {fid:.12f}, printed-weight form {printed:.12f}, "
                     f"branch-weight form {want:.12f}"
                 )
-            if certified and all(certified):
-                notes.append(
-                    "failure-fidelity normalization certified: branch weight P_m - c_min^2 "
-                    "(the printed form divides by P_m)"
-                )
+        if two_copies and certified and all(certified):
+            notes.append(
+                "failure-fidelity normalization certified: branch weight P_m - c_min^2 "
+                "(the printed form divides by P_m)"
+            )
 
     if kind == "separation":
         target = cfg.strategy.target

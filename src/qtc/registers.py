@@ -3,8 +3,8 @@
 Registers are ordered collections of named subsystems; amplitudes are stored
 flat in row-major mixed-radix order over the label order (first label is the
 most significant digit). The protocol engine runs on plain arrays; these
-types carry its inputs and its kept post-states, and ``partial_trace`` gives
-the clone marginals. Haar sampling and the amplitude budget live here too.
+types carry its inputs, its operators and the clone marginals it returns.
+Haar sampling and the amplitude budget live here too.
 """
 
 from __future__ import annotations

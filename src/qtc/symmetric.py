@@ -14,6 +14,13 @@ an orthonormal family on the (M-1) ancilla qudits A and M clone qudits C.
 The channel state for coefficients c_j (real, non-negative, sum c_j^2 = 1) is
 
     |chan> = sum_j c_j |j>_P (x) |phi_j>_AC .
+
+The protocol engine never builds these dense vectors. It works in the
+occupation coordinates of ``occupations`` (one row n_0..n_(d-1) per basis
+state |xi_k>), with ``occupation_index`` as the closed-form inverse and
+``raising`` as the creation and annihilation maps between M-1 and M
+qudits. ``symmetric_basis``, ``clone_basis`` and ``channel_state`` build
+the dense forms, which the tests use as references.
 """
 
 from __future__ import annotations
@@ -25,16 +32,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .registers import StateVector, check_memory
+from .registers import NORM_ATOL, StateVector, _squared_norm, check_memory
 
 __all__ = [
     "Channel",
     "SymBasis",
+    "SymmetricState",
     "CloneBasis",
     "ancilla_labels",
     "clone_basis",
     "clone_labels",
     "channel_state",
+    "occupation_index",
+    "occupations",
+    "raising",
     "symmetric_basis",
     "symmetric_dimension",
 ]
@@ -77,31 +88,93 @@ class SymBasis:
         return len(self.states)
 
 
+def occupations(d: int, copies: int) -> np.ndarray:
+    """Occupation numbers n_v of the symmetric basis of ``copies`` qudits, one row per state.
+
+    Rows follow the basis order: the lexicographic order of sorted multisets,
+    which is the descending order of occupations. Builds D = binom(d+M-1, M)
+    rows and never touches the d^M dense indices.
+    """
+    size = math.comb(d + copies - 1, copies)
+    multisets = itertools.chain.from_iterable(itertools.combinations_with_replacement(range(d), copies))
+    values = np.fromiter(multisets, dtype=np.intp, count=size * copies).reshape(size, copies)
+    flat = (values + d * np.arange(size)[:, None]).ravel()
+    return np.bincount(flat, minlength=size * d).reshape(size, d)
+
+
+def occupation_index(occ: np.ndarray) -> np.ndarray:
+    """Index of each occupation row (last axis) of ``occ`` in the symmetric basis of its total.
+
+    Closed form: the states before occupation n are counted value by value;
+    those that agree with n below v and hold more of v number
+    binom(s_v + d - v - 2, d - v - 1), with s_v the count of values above v.
+    """
+    d = occ.shape[-1]
+    above = np.cumsum(occ[..., :0:-1], axis=-1)[..., ::-1]  # s_v for v = 0..d-2
+    table = np.array(
+        [[math.comb(s + d - v - 2, d - v - 1) for v in range(d - 1)] for s in range(int(above.max(initial=0)) + 1)],
+        dtype=np.intp,
+    )
+    return table[above, np.arange(d - 1)].sum(axis=-1)
+
+
+def raising(d: int, copies: int) -> tuple[np.ndarray, np.ndarray]:
+    """The creation maps Sym^(M-1) -> Sym^M as gathers: a_v^dag |n> = sqrt(n_v + 1) |n + e_v>.
+
+    Returns ``index`` and ``root``, both shaped (d, D_(M-1)): state n of
+    Sym^(M-1) goes to state ``index[v, n]`` of Sym^M with factor
+    ``root[v, n]``. Read backwards, they are the annihilation maps
+    a_v |n'> = sqrt(n'_v) |n' - e_v>.
+    """
+    lower = occupations(d, copies - 1)
+    eye = np.eye(d, dtype=lower.dtype)
+    return occupation_index(lower[None, :, :] + eye[:, None, :]), np.sqrt(lower.T + 1.0)
+
+
+@dataclass(frozen=True, eq=False)
+class SymmetricState:
+    """Pure state on Sym^(M-1) of the ancillas (x) Sym^M of the clones, qudit dimension d.
+
+    ``amps[a, c]`` is the amplitude of ancilla state ``occupations(d, M-1)[a]``
+    and clone state ``occupations(d, M)[c]``. The embedding into the dense
+    register A1..A(M-1), C1..CM is an isometry, so overlaps and norms are
+    the dense ones. The norm must be 1 within 1e-12.
+    """
+
+    d: int
+    copies: int
+    amps: np.ndarray
+
+    def __post_init__(self):
+        d, copies = self.d, self.copies
+        shape = (math.comb(d + copies - 2, copies - 1), math.comb(d + copies - 1, copies))
+        amps = np.ascontiguousarray(self.amps, dtype=np.complex128)
+        if amps.shape != shape:
+            raise ValueError(f"amplitudes of shape {amps.shape} do not match {shape} for d={d}, M={copies}")
+        nrm = math.sqrt(_squared_norm(amps.reshape(-1)))
+        if abs(nrm - 1.0) > NORM_ATOL:
+            raise ValueError(f"state norm {nrm!r} deviates from 1 beyond {NORM_ATOL}")
+        amps.flags.writeable = False
+        object.__setattr__(self, "amps", amps)
+
+
 def symmetric_basis(d: int, copies: int) -> SymBasis:
+    """The symmetric basis as dense vectors on d^M amplitudes."""
     size = symmetric_dimension(d, copies)
     check_memory(size * d**copies)
     labels = tuple(f"S{i}" for i in range(1, copies + 1))
     dims = (d,) * copies
     # occupation numbers of every basis index, first digit most significant
-    eye = np.eye(d, dtype=np.min_scalar_type(copies))
-    occupation = np.zeros((1, d), dtype=eye.dtype)
+    eye = np.eye(d, dtype=np.intp)
+    occupation = np.zeros((1, d), dtype=np.intp)
     for _ in range(copies):
         occupation = (occupation[:, None, :] + eye[None, :, :]).reshape(-1, d)
-    # group equal occupations; the lexicographic order of sorted multisets is
-    # the descending order of their occupations
-    order = np.lexsort(occupation.T[::-1])
-    ordered = occupation[order]
-    starts = np.ones(len(order), dtype=bool)
-    starts[1:] = np.any(ordered[1:] != ordered[:-1], axis=1)
-    distinct = ordered[starts][::-1]
-    assert len(distinct) == size
-    rank = np.empty(len(order), dtype=np.intp)
-    rank[order] = size - np.cumsum(starts)
+    rank = occupation_index(occupation)
     # a multiset with occupations n_v has M! / prod(n_v!) distinct arrangements
     amps = np.array(
         [
             1.0 / math.sqrt(math.factorial(copies) // math.prod(math.factorial(int(k)) for k in occ))
-            for occ in distinct
+            for occ in occupations(d, copies)
         ]
     )
     vecs = np.zeros((size, d**copies), dtype=np.complex128)

@@ -404,7 +404,7 @@ class TestErrors:
 
     @pytest.mark.parametrize("command,extra", [("simulate", ()), ("haar", ("--input", "haar:1:10"))])
     def test_memory_budget_exits_one(self, capsys, monkeypatch, command, extra):
-        monkeypatch.setenv("QTC_MEM_BUDGET", "1000")
+        monkeypatch.setenv("QTC_MEM_BUDGET", "100")
         code, out, err = run_cli(capsys, command, "--d", "3", "--m-copies", "3", *extra)
         assert code == 1
         assert out == ""

@@ -1,5 +1,8 @@
 """Protocol engine against the brute-force oracle and the closed forms."""
 
+import math
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -17,7 +20,7 @@ from qtc import protocol
 from qtc.bell import bell_state, gxor_operator, reconstruction_unitaries
 from qtc.discrimination import RankDeficientChannelError, Strategy
 from qtc.registers import MemoryBudgetError, Operator, StateVector, haar_random_state
-from qtc.symmetric import Channel
+from qtc.symmetric import Channel, SymmetricState
 
 CHAN82 = Channel(np.sqrt([0.8, 0.2]))
 CHAN532 = Channel(np.sqrt([0.5, 0.3, 0.2]))
@@ -86,6 +89,17 @@ class TestOracleCrossCheck:
                 assert abs(b.probability - p) < 1e-10
                 if f is not None:
                     assert abs(b.clone_fidelities[0] - f) < 1e-10
+
+    @pytest.mark.parametrize("variant", ["s2", "s4"])
+    @pytest.mark.parametrize("d,copies", [(d, m) for d in (2, 3, 4) for m in (1, 2, 3, 4)])
+    def test_bell_branches_match_oracle_tightly(self, d, copies, variant):
+        rng = np.random.default_rng([d, copies, variant == "s4"])
+        psi, chan = random_state(d, rng), random_channel(d, rng)
+        rep = run_exact(ProtocolConfig(channel=chan, copies=copies, recon_variant=variant, input_spec=psi))
+        for n, m, p, f in oracle.protocol_branches(psi.amps, chan.coeffs, copies, variant):
+            b = rep.branch(m=m, n=n)
+            assert abs(b.probability - p) <= 1e-14
+            assert abs(b.clone_fidelities[0] - f) <= 1e-14
 
     def test_all_clones_identical(self):
         rng = np.random.default_rng(5)
@@ -620,6 +634,46 @@ class TestValidation:
         with pytest.raises(MemoryBudgetError, match="QTC_MEM_BUDGET"):
             run_exact(ProtocolConfig(channel=CHAN532, copies=3, input_spec=state([1, 0, 0])))
 
+    def test_memory_budget_checked_before_tables(self, monkeypatch):
+        def table(*args):
+            raise AssertionError("table built before the budget check")
+
+        for name in ("raising", "occupations", "reconstruction_matrices", "gxor_operator", "filter_unitary"):
+            monkeypatch.setattr(protocol, name, table)
+        # the reconstruction gathers of d=3, M=3: d^2 outcomes, D_3 = 10 occupations of d entries
+        monkeypatch.setenv("QTC_MEM_BUDGET", "269")
+        with pytest.raises(MemoryBudgetError, match="270 amplitudes"):
+            run_exact(ProtocolConfig(channel=CHAN532, copies=3, input_spec=state([1, 0, 0])))
+        # a filter's d dilations of d^4 amplitudes each are larger
+        cfg = ProtocolConfig(channel=CHAN532, flow="gxor", strategy=Strategy.usd(), input_spec=state([1, 0, 0]))
+        monkeypatch.setenv("QTC_MEM_BUDGET", "242")
+        with pytest.raises(MemoryBudgetError, match="243 amplitudes"):
+            run_exact(cfg)
+        # large d at small M: the channel is small, the d^3 D_M gathers are not
+        monkeypatch.delenv("QTC_MEM_BUDGET")
+        for copies in (2, 3):
+            with pytest.raises(MemoryBudgetError, match="QTC_MEM_BUDGET"):
+                protocol._Context(ProtocolConfig(channel=Channel.maximal(100), copies=copies))
+
+    def test_memory_budget_of_a_pass(self, monkeypatch):
+        # d=2, M=5: the tables need d^3 * D_5 = 48 amplitudes, the annihilation
+        # gather of a pass d * D_4 * D_5 = 60 per input column
+        cfg = ProtocolConfig(channel=CHAN82, copies=5, input_spec=state([1, 0]))
+        monkeypatch.setenv("QTC_MEM_BUDGET", "59")
+        with pytest.raises(MemoryBudgetError, match="60 amplitudes"):
+            run_exact(cfg)
+        monkeypatch.setenv("QTC_MEM_BUDGET", "60")
+        run_exact(cfg)
+        # haar_average stacks d^2 branch maps of d input columns, checked before the compile
+        monkeypatch.setattr(protocol, "_engine", lambda *args: pytest.fail("compiled before the budget check"))
+        haar = replace(cfg, input_spec=HaarSpec(seed=0, samples=2))
+        monkeypatch.setenv("QTC_MEM_BUDGET", "239")
+        with pytest.raises(MemoryBudgetError, match="240 amplitudes"):
+            haar_average(haar)
+        monkeypatch.undo()
+        monkeypatch.setenv("QTC_MEM_BUDGET", "240")
+        haar_average(haar)
+
 
 def _apply_per_axis(mat, arr, axis):
     """Reference: ``mat`` on one axis through a moved copy, the per-axis form the gather replaces."""
@@ -628,24 +682,38 @@ def _apply_per_axis(mat, arr, axis):
     return np.moveaxis(out, 0, axis)
 
 
+def _to_dense(d, copies, block):
+    """Symmetric ancilla-and-clone coordinates (AC, K) -> the dense register A1..A(M-1), C1..CM.
+
+    The isometry is the product of oracle's symmetrized vectors, which share
+    the engine's lexicographic multiset order: coordinate a * D_M + c is
+    ancilla state a times clone state c.
+    """
+    anc = np.stack(oracle.sym_vectors(d, copies - 1), axis=1)
+    clone = np.stack(oracle.sym_vectors(d, copies), axis=1)
+    sym = block.reshape(anc.shape[1], clone.shape[1], -1)
+    return np.einsum("xa,yc,ack->xyk", anc, clone, sym, optimize=True).reshape(-1, block.shape[-1])
+
+
 class TestEngineSteps:
-    """The engine's inner steps against the full-register forms they replace."""
+    """The engine's inner steps, in symmetric coordinates, against the full-register forms they replace."""
 
     @pytest.mark.parametrize("variant", ["s2", "s4"])
     @pytest.mark.parametrize("d,copies", [(d, m) for d in (2, 3, 4) for m in (1, 2, 3, 4)])
     def test_gather_matches_per_axis_apply(self, d, copies, variant):
         ctx = protocol._Context(ProtocolConfig(channel=Channel.maximal(d), copies=copies, recon_variant=variant))
         rng = np.random.default_rng(d * 10 + copies)
-        shape = (d,) * (2 * copies - 1) + (2,)
+        shape = (math.prod(ctx.ac_dims), 2)
         # moduli up to 1, as in any block of a normalized input
         block = rng.uniform(size=shape) * np.exp(2j * np.pi * rng.uniform(size=shape))
+        dense = _to_dense(d, copies, block).reshape((d,) * (2 * copies - 1) + (2,))
         for n in range(d):
             for m in range(d):
                 ua, uc = reconstruction_unitaries(d, n, m, variant)
-                want = block
+                want = dense
                 for axis in range(2 * copies - 1):
                     want = _apply_per_axis(ua.matrix if axis < copies - 1 else uc.matrix, want, axis)
-                got = ctx.reconstruct(block.reshape(-1, 2), n, m)
+                got = _to_dense(d, copies, ctx.reconstruct(block, n, m))
                 assert np.max(np.abs(got - want.reshape(-1, 2))) <= 1e-15
 
     def test_non_monomial_rejected(self):
@@ -659,23 +727,29 @@ class TestEngineSteps:
     def test_clone_fidelity_is_gram_form(self, d, copies):
         rng = np.random.default_rng(copies)
         psi = random_state(d, rng).amps
-        shape = (d,) * (2 * copies - 1)
-        block = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        ctx = protocol._Context(ProtocolConfig(channel=Channel.maximal(d), copies=copies))
+        size = math.prod(ctx.ac_dims)
+        block = rng.normal(size=size) + 1j * rng.normal(size=size)
         block /= np.linalg.norm(block)
-        for axis in range(2 * copies - 1):
-            flat = np.moveaxis(block, axis, 0).reshape(d, -1)
-            gram = np.vdot(psi, flat @ flat.conj().T @ psi).real
-            assert abs(protocol._clone_fidelity(psi, block.reshape(-1), axis) - gram) <= 1e-14
+        weight = ctx.clone_weight(block[:, None], psi[:, None])[0]
+        kept = protocol.BranchResult(0, 0, None, 1.0, None, False, SymmetricState(d, copies, block.reshape(ctx.ac_dims)))
+        dense = _to_dense(d, copies, block[:, None]).reshape((d,) * (2 * copies - 1))
+        for axis in range(copies - 1, 2 * copies - 1):
+            flat = np.moveaxis(dense, axis, 0).reshape(d, -1)
+            rho = flat @ flat.conj().T
+            assert abs(weight - np.vdot(psi, rho @ psi).real) <= 1e-14
+            assert np.max(np.abs(clone_marginal(kept, axis - copies + 1).matrix - rho)) <= 1e-14
 
     @pytest.mark.parametrize("flow", ["bell", "gxor"])
     @pytest.mark.parametrize("chan,copies", [(CHAN82, 1), (CHAN82, 3), (CHAN532, 2)])
     def test_sender_contraction_matches_full_register(self, flow, chan, copies):
         d = chan.d
         ctx = protocol._Context(ProtocolConfig(channel=chan, copies=copies, flow=flow))
+        chan_amps = oracle.channel_vector(chan.coeffs, copies)
         rng = np.random.default_rng(copies)
         for cols in (np.eye(d, dtype=complex), rng.normal(size=(d, 3)) + 1j * rng.normal(size=(d, 3))):
             # the register X, P, AC, input built in full, then projected on (X, P)
-            full = (cols[:, None, :] * ctx.chan_amps[None, :, None]).reshape(d, d, -1, cols.shape[1])
+            full = (cols[:, None, :] * chan_amps[None, :, None]).reshape(d, d, -1, cols.shape[1])
             if flow == "bell":
                 rows = np.stack([bell_state(d, n, m).amps for n in range(d) for m in range(d)]).conj()
                 want = (rows @ full.reshape(d * d, -1)).reshape(d * d, -1, cols.shape[1])
@@ -685,7 +759,7 @@ class TestEngineSteps:
                 want = np.moveaxis(full, 1, 0)
                 want = (gxor @ want.reshape(d * d, -1)).reshape(want.shape)
                 want = np.moveaxis(want, 1, 0).reshape(d * d, -1, cols.shape[1])
-            got = np.stack([ctx.lift(core) for core in ctx.sender @ cols])
+            got = np.stack([_to_dense(d, copies, ctx.lift(core)) for core in ctx.sender @ cols])
             assert np.max(np.abs(got - want)) <= 1e-14
 
     def test_flag_leak_detected(self, monkeypatch):
@@ -695,3 +769,30 @@ class TestEngineSteps:
         cfg = ProtocolConfig(channel=CHAN532, flow="gxor", strategy=Strategy.usd(), input_spec=state([1, 1, 1]))
         with pytest.raises(AssertionError, match="leaked"):
             run_exact(cfg)
+
+
+class TestReach:
+    """Sizes whose dense register would hold 2^129 or 3^33 amplitudes."""
+
+    @pytest.mark.parametrize(
+        "chan,copies",
+        [(Channel(np.sqrt([0.7, 0.3])), 64), (CHAN532, 16)],
+        ids=["d2-M64", "d3-M16"],
+    )
+    def test_usd_at_large_m(self, chan, copies):
+        d = chan.d
+        psi = random_state(d, np.random.default_rng(copies))
+        cfg = ProtocolConfig(channel=chan, copies=copies, flow="gxor", strategy=Strategy.usd(), input_spec=psi)
+        rep = run_exact(cfg, keep_states=False)
+        f_opt = fm.optimal_fidelity(d, copies)
+        assert abs(rep.total_probability() - 1.0) <= 1e-12
+        assert abs(rep.conditional_averages["success"]["fidelity"] - f_opt) <= 1e-12
+        for b in rep.branches:
+            assert len(b.clone_fidelities) == copies and len(set(b.clone_fidelities)) == 1
+            if b.flag == "success":
+                assert abs(b.clone_fidelities[0] - f_opt) <= 1e-12
+        for m in range(d):
+            fail = [b for b in rep.branches if b.flag == "fail" and b.m == m]
+            mass = sum(b.probability for b in fail)
+            fid = sum(b.probability * b.clone_fidelities[0] for b in fail) / mass
+            assert abs(fid - fm.failure_fidelity_m(psi.amps, chan, m, "branch", copies)) <= 1e-12

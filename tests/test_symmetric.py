@@ -8,7 +8,7 @@ import pytest
 
 import oracle
 from qtc import Channel, channel_state, clone_basis, partial_trace, symmetric_basis, symmetric_dimension
-from qtc.symmetric import ancilla_labels, clone_labels
+from qtc.symmetric import ancilla_labels, clone_labels, occupation_index, occupations, raising
 
 
 class TestSymmetricDimension:
@@ -26,6 +26,27 @@ class TestSymmetricDimension:
     def test_overflow_guard(self):
         with pytest.raises(ValueError):
             symmetric_dimension(10**6, 12)
+
+
+class TestOccupations:
+    @pytest.mark.parametrize("d,m", [(2, 0), (3, 0), (2, 5), (3, 4), (5, 3), (2, 300), (3, 40), (7, 6)])
+    def test_rows_follow_multiset_order_and_index_inverts(self, d, m):
+        occ = occupations(d, m)
+        want = [np.bincount(ms, minlength=d) for ms in itertools.combinations_with_replacement(range(d), m)]
+        assert np.array_equal(occ, np.reshape(want, (-1, d)))
+        assert np.array_equal(occupation_index(occ), np.arange(len(occ)))
+
+    @pytest.mark.parametrize("d,m", [(2, 1), (3, 2), (4, 3)])
+    def test_raising_is_creation(self, d, m):
+        # a_v^dag on Sym^(m-1) through the dense forms: sqrt(m) * symmetrize(|v> (x) xi_n)
+        index, root = raising(d, m)
+        lower, upper = oracle.sym_vectors(d, m - 1), np.stack(oracle.sym_vectors(d, m))
+        for v in range(d):
+            for n, xi in enumerate(lower):
+                created = upper.conj() @ (math.sqrt(m) * np.kron(np.eye(d)[v], xi))
+                want = np.zeros(len(upper))
+                want[index[v, n]] = root[v, n]
+                assert np.max(np.abs(created - want)) < 1e-14
 
 
 class TestSymmetricBasis:
