@@ -106,9 +106,10 @@ def _parse_input(text: str, d: int) -> StateVector | HaarSpec:
             seed, samples = int(parts[1]), int(parts[2])
         except ValueError:
             raise CliError(f"--input: non-integer seed/samples in {text!r}") from None
-        if samples < 1:
-            raise CliError("--input: haar sample count must be positive")
-        return HaarSpec(seed, samples)
+        try:
+            return HaarSpec(seed, samples)
+        except ValueError as exc:
+            raise CliError(f"--input: {exc}") from None
     try:
         amps = np.array([complex(tok) for tok in text.split(",")])
     except ValueError:

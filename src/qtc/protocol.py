@@ -41,6 +41,7 @@ all samples with batched products.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -74,6 +75,12 @@ __all__ = [
 COMPARE_TOL = 1e-8
 # amplitudes per batch of Haar samples, which bounds the evaluation's working set
 HAAR_CHUNK = 1 << 12
+# NumPy's SeedSequence hash constants and PCG64's multiplier, for seeding Haar samples
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK32, _MASK128 = (1 << 32) - 1, (1 << 128) - 1
 
 
 @dataclass(frozen=True, eq=False)
@@ -82,6 +89,12 @@ class HaarSpec:
 
     seed: int
     samples: int
+
+    def __post_init__(self):
+        if operator.index(self.seed) < 0:
+            raise ValueError(f"haar seed must be non-negative, got {self.seed}")
+        if operator.index(self.samples) < 1:
+            raise ValueError(f"haar sample count must be at least 1, got {self.samples}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -433,18 +446,92 @@ def clone_marginal(branch: BranchResult, clone_index: int = 0) -> DensityMatrix:
     return DensityMatrix((state.d,), (f"C{clone_index + 1}",), rho)
 
 
+def _uint32_words(value: int) -> list[int]:
+    """SeedSequence's entropy words of a non-negative integer, least significant first."""
+    words = [value & _MASK32]
+    while value := value >> 32:
+        words.append(value & _MASK32)
+    return words
+
+
+def _hasher(const: int, mult: int):
+    """One of SeedSequence's hash streams: each call hashes a word with the next constant."""
+
+    def step(value: np.ndarray) -> np.ndarray:
+        nonlocal const
+        value = value ^ np.uint32(const)
+        const = const * mult & _MASK32
+        value = value * np.uint32(const)
+        return value ^ (value >> np.uint32(16))
+
+    return step
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    value = np.uint32(_MIX_MULT_L) * x - np.uint32(_MIX_MULT_R) * y
+    return value ^ (value >> np.uint32(16))
+
+
+def _seed_words(seed: int, indices: np.ndarray) -> np.ndarray:
+    """Rows ``SeedSequence([seed, i]).generate_state(4, np.uint64)`` for i in ``indices``.
+
+    NumPy's SeedSequence hash, run as uint32 array arithmetic with one lane
+    per index. The entropy of [seed, i] is the 32-bit words of seed, then
+    those of i: one word below 2**32, two from there to 2**64.
+    """
+    indices = np.asarray(indices, dtype=np.uint64)
+    out = np.empty((indices.size, 8), dtype=np.uint32)
+    seed_words = [np.full(1, w, dtype=np.uint32) for w in _uint32_words(operator.index(seed))]
+    narrow = indices >> np.uint64(32) == 0
+    for lanes, width in ((narrow, 1), (~narrow, 2)):
+        idx = indices[lanes]
+        if not idx.size:
+            continue
+        entropy = seed_words + [(idx >> np.uint64(32 * k)).astype(np.uint32) for k in range(width)]
+        hashmix = _hasher(_INIT_A, _MULT_A)
+        pool = [hashmix(entropy[k] if k < len(entropy) else np.zeros(1, np.uint32)) for k in range(4)]
+        for src in range(4):
+            for dst in range(4):
+                if src != dst:
+                    pool[dst] = _mix(pool[dst], hashmix(pool[src]))
+        for word in entropy[4:]:
+            for dst in range(4):
+                pool[dst] = _mix(pool[dst], hashmix(word))
+        draw = _hasher(_INIT_B, _MULT_B)
+        for k in range(8):
+            out[lanes, k] = draw(pool[k % 4])
+    return out[:, 0::2].astype(np.uint64) | out[:, 1::2].astype(np.uint64) << np.uint64(32)
+
+
 def _haar_inputs(spec: HaarSpec, d: int) -> np.ndarray:
     """The inputs of ``spec`` as columns: sample i is drawn from ``default_rng([seed, i])``.
 
     Each draw is ``haar_random_state``'s: d normals for the real parts, then
-    d for the imaginary parts, normalized.
+    d for the imaginary parts, normalized. Building a generator per sample
+    would cost most of a Haar run, so the seed words of every sample are
+    hashed at once (``_seed_words``), each turned into the PCG64 state that
+    ``default_rng`` starts from, and one generator is re-seeded per sample.
+    The samples are bit-identical to ``haar_random_state`` on the per-sample
+    generators.
     """
-    psis = np.empty((d, spec.samples), dtype=np.complex128)
-    for i in range(spec.samples):
-        rng = np.random.default_rng([spec.seed, i])
-        z = rng.standard_normal(d) + 1j * rng.standard_normal(d)
-        psis[:, i] = z / np.linalg.norm(z)
-    return psis
+    bits = np.random.PCG64(0)
+    gen = np.random.Generator(bits)
+    state = {"bit_generator": "PCG64", "state": {}, "has_uint32": 0, "uinteger": 0}
+    raw = np.empty((spec.samples, 2, d))
+    words = _seed_words(spec.seed, np.arange(spec.samples, dtype=np.uint64))
+    for i, (s_hi, s_lo, inc_hi, inc_lo) in enumerate(words.tolist()):
+        # pcg64_set_seed: inc = 2 * seq + 1, state = (inc + seed) * MULT + inc
+        inc = ((inc_hi << 64 | inc_lo) << 1 | 1) & _MASK128
+        state["state"] = {"state": ((inc + (s_hi << 64 | s_lo)) * _PCG64_MULT + inc) & _MASK128, "inc": inc}
+        bits.state = state
+        gen.standard_normal(out=raw[i])  # one draw of 2d normals is the stream of two draws of d
+    z = raw[:, 0] + 1j * raw[:, 1]
+    # np.linalg.norm(z[i]) is sqrt(re.dot(re) + im.dot(im)) on the strided parts;
+    # a batched row-by-column matmul calls the same dot per sample, so it rounds
+    # alike, where einsum or dots of the contiguous raw rows sum in another order
+    re, im = z.real[:, None, :], z.imag[:, None, :]
+    norms = np.sqrt(re @ re.transpose(0, 2, 1) + im @ im.transpose(0, 2, 1))[:, 0]
+    return np.ascontiguousarray((z / norms).T)
 
 
 def _stats(vals: np.ndarray) -> tuple[float, float]:
@@ -473,6 +560,9 @@ def haar_average(config: ProtocolConfig) -> RunReport:
     d = config.d
     ctx = _Context(config)
     check_memory(ctx.branch_count * math.prod(ctx.ac_dims) * d)  # the stacked maps
+    # probabilities and weights hold branch_count >= d^2 >= 2d entries per sample,
+    # more than the raw normals (2d) and the inputs (d)
+    check_memory(ctx.branch_count * spec.samples)
     compiled = list(_engine(ctx, np.eye(d, dtype=np.complex128)))
     keys = [key for key, _ in compiled]
     maps = np.stack([block for _, block in compiled])  # (branch, AC, input)

@@ -14,6 +14,7 @@ from qtc.cli import (
     load_report,
     main,
 )
+from qtc import protocol
 from qtc.protocol import run_exact
 
 
@@ -384,8 +385,10 @@ class TestErrors:
             (("simulate", "--seed", "3"), "--seed"),
             (("simulate", "--d", "x"), "--d"),
             (("haar", "--frobnicate"), "--frobnicate"),
+            (("haar", "--input", "haar:-3:10"), "--input: haar seed"),
+            (("haar", "--input", "haar:1:0"), "--input: haar sample count"),
         ],
-        ids=["removed-seed", "bad-int", "unknown-flag"],
+        ids=["removed-seed", "bad-int", "unknown-flag", "negative-haar-seed", "no-haar-samples"],
     )
     def test_usage_error_is_one_line(self, capsys, argv, needle):
         code, out, err = run_cli(capsys, *argv)
@@ -410,6 +413,21 @@ class TestErrors:
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "QTC_MEM_BUDGET" in err
+
+    def test_haar_sample_budget_draws_nothing(self, capsys, monkeypatch):
+        # the compiled maps of d=2 usd fit in 1000 amplitudes; 8 branches x 200 samples do not
+        def no_draws(spec, d):
+            raise AssertionError("samples drawn")
+
+        monkeypatch.setattr(protocol, "_haar_inputs", no_draws)
+        monkeypatch.setenv("QTC_MEM_BUDGET", "1000")
+        code, out, err = run_cli(
+            capsys, "haar", "--d", "2", "--strategy", "usd", "--input", "haar:1:200",
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "1600 amplitudes" in err and "QTC_MEM_BUDGET" in err
 
     def test_version_flag(self, capsys):
         assert main(["--version"]) == 0

@@ -460,14 +460,46 @@ class TestHaarAgainstRunExact:
             assert abs(got["mean"] - mean) < 1e-12
             assert abs(got["stderr"] - sem) < 1e-12
 
-    @pytest.mark.parametrize("d", [2, 3, 5])
-    def test_inputs_are_haar_random_states(self, d):
-        spec = HaarSpec(seed=23, samples=30)
+    @pytest.mark.parametrize(
+        "d,seed,samples",
+        [
+            pytest.param(2, 23, 30, id="2"),
+            pytest.param(3, 23, 30, id="3"),
+            pytest.param(5, 23, 30, id="5"),
+            (2, 0, 1),
+            (7, 0, 257),
+            (4, 2**32 - 1, 257),
+            (6, 2**32, 1),
+            (2, 2**32, 257),
+            (3, 2**64 + 7, 257),
+            (7, 10**30, 40),
+            (16, 5, 40),
+        ],
+    )
+    def test_inputs_are_haar_random_states(self, d, seed, samples):
+        spec = HaarSpec(seed=seed, samples=samples)
         want = np.stack(
             [haar_random_state(d, np.random.default_rng([spec.seed, i])).amps for i in range(spec.samples)],
             axis=1,
         )
         assert np.array_equal(protocol._haar_inputs(spec, d), want)
+
+    @pytest.mark.parametrize("seed", [0, 17, 2**32 - 1, 2**32, 2**64 + 7, 10**30])
+    def test_seed_words_match_seed_sequence(self, seed):
+        # sample indices from 2**32 on take two entropy words
+        indices = [0, 1, 2, 256, 2**32 - 1, 2**32, 2**32 + 5, 2**40 + 3, 2**64 - 1]
+        want = np.stack(
+            [np.random.SeedSequence([seed, i]).generate_state(4, np.uint64) for i in indices]
+        )
+        assert np.array_equal(protocol._seed_words(seed, np.array(indices, dtype=np.uint64)), want)
+
+    @pytest.mark.parametrize(
+        "seed,samples,needle",
+        [(-3, 10, "seed"), (1, 0, "sample count"), (1, -5, "sample count")],
+    )
+    def test_spec_rejects_bad_fields(self, seed, samples, needle):
+        with pytest.raises(ValueError, match=needle):
+            HaarSpec(seed=seed, samples=samples)
 
     def test_rejects_maps_that_lose_probability(self, monkeypatch):
         engine = protocol._engine
