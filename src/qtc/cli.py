@@ -31,9 +31,11 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import hashlib
 import io
 import json
+import math
 import sys
 import warnings
 
@@ -116,7 +118,12 @@ def _parse_input(text: str, d: int) -> StateVector | HaarSpec:
         raise CliError(f"--input: could not parse amplitudes {text!r}") from None
     if amps.size != d:
         raise CliError(f"--input: {amps.size} amplitudes for dimension {d}")
-    norm = np.linalg.norm(amps)
+    if not np.all(np.isfinite(amps)):
+        raise CliError(f"--input: amplitudes must be finite, got {text!r}")
+    with np.errstate(over="ignore"):
+        norm = np.linalg.norm(amps)
+    if not math.isfinite(norm):
+        raise CliError(f"--input: the norm of {text!r} overflows")
     if norm < 1e-12:
         raise CliError("--input: zero vector")
     return StateVector((d,), ("X",), amps / norm)
@@ -126,10 +133,13 @@ def _parse_int_grid(text: str) -> list[int]:
     text = text.strip()
     if not text:
         return []
-    if ".." in text:
-        lo, hi = text.split("..")
-        return list(range(int(lo), int(hi) + 1))
-    return [int(tok) for tok in text.split(",") if tok]
+    try:
+        if ".." in text:
+            lo, hi = text.split("..")
+            return list(range(int(lo), int(hi) + 1))
+        return [int(tok) for tok in text.split(",") if tok]
+    except ValueError:
+        raise CliError(f"--d: expected integers (2,3 or 2..4), got {text!r}") from None
 
 
 def _parse_channel_grid(text: str) -> tuple[str, list]:
@@ -141,12 +151,17 @@ def _parse_channel_grid(text: str) -> tuple[str, list]:
         body = body[1:-1].strip()
         if not body:
             return "cmin2", []
-        if ".." in body:
-            span, _, steps = body.partition(":")
-            lo, hi = span.split("..")
-            n = int(steps) if steps else 10
-            return "cmin2", [float(v) for v in np.linspace(float(lo), float(hi), n)]
-        return "cmin2", [float(tok) for tok in body.split(",")]
+        try:
+            if ".." in body:
+                span, _, steps = body.partition(":")
+                lo, hi = span.split("..")
+                n = int(steps) if steps else 10
+                if n < 1:
+                    raise CliError(f"--channel: cmin2 grid needs at least one point, got {n}")
+                return "cmin2", [float(v) for v in np.linspace(float(lo), float(hi), n)]
+            return "cmin2", [float(tok) for tok in body.split(",")]
+        except ValueError:
+            raise CliError(f"--channel: could not parse the cmin2 grid {text!r}") from None
     return "fixed", [text]
 
 
@@ -398,6 +413,8 @@ def cmd_haar(args) -> int:
 def cmd_sweep(args) -> int:
     if args.strategy not in ("usd", "none"):
         raise CliError("--strategy: sweep reports the filter-correction threshold; use usd (or none)")
+    if args.m_copies < 1:
+        raise CliError(f"--m-copies: need at least one clone, got {args.m_copies}")
     dims = _parse_int_grid(args.d)
     if any(d < 2 for d in dims):
         raise CliError("--d: dimensions must be at least 2")
@@ -478,6 +495,7 @@ def config_from_report(doc: dict) -> ProtocolConfig:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """A fresh parser of the ``qtc`` command line."""
     parser = _Parser(
         prog="qtc",
         description="Exact simulation of qudit telecloning through partially entangled channels.",
@@ -515,11 +533,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _shared_parser() -> argparse.ArgumentParser:
+    """The parser every ``main`` call reuses; parsing mutates only the Namespace it returns."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args = _shared_parser().parse_args(argv)
         if args.format is None:
             args.format = args.default_format
+        if not (math.isfinite(args.tol) and args.tol >= 0):
+            raise CliError(f"--tol: must be finite and non-negative, got {args.tol!r}")
         return args.func(args)
     except SystemExit as exc:
         # only --help and --version exit from argparse; usage errors raise CliError

@@ -34,6 +34,15 @@ Three tables, built in closed form from occupation numbers, do the work:
   rho_uv = <a_v B, a_u B> / M for a normalized block B, so every clone has
   the fidelity ||sum_v psi_v* a_v B||^2 / M.
 
+The tables that depend only on the shape of a configuration (d, M, flow,
+reconstruction variant) are built once per process and shared, read-only,
+by every later call of that shape: the creation and annihilation maps, the
+reconstruction gathers, the sender operator and the inverse Fourier matrix.
+The tables kept between calls hold at most ``QTC_MEM_BUDGET`` numbers in
+total; the least recently used are dropped first. Only the
+channel-dependent pieces (channel amplitudes, slice weights, filter
+dilations) are built per call.
+
 Haar-input averaging compiles each branch's linear map once and evaluates
 all samples with batched products.
 """
@@ -42,6 +51,8 @@ from __future__ import annotations
 
 import math
 import operator
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -55,7 +66,7 @@ from .discrimination import (
     separation_filter,
     usd_kraus,
 )
-from .registers import DEFAULT_ATOL, PROB_FLOOR, DensityMatrix, StateVector, check_memory
+from .registers import DEFAULT_ATOL, PROB_FLOOR, DensityMatrix, StateVector, check_memory, memory_budget
 from .symmetric import Channel, SymmetricState, occupation_index, occupations, raising
 from . import formulas
 
@@ -230,10 +241,90 @@ def _lowered(blocks: np.ndarray, raised: np.ndarray, root: np.ndarray) -> np.nda
     return blocks[..., raised, :] * root[:, :, None]
 
 
+class _TableStore:
+    """Tables shared across calls, keyed by their builder and its arguments.
+
+    Every array handed out is read-only. The arrays kept between calls hold
+    at most ``memory_budget()`` numbers in total, the unit ``check_memory``
+    counts, with the budget read on every lookup: the least recently used
+    entries are dropped first, and a table larger than the budget goes to
+    its caller without being kept.
+    """
+
+    def __init__(self):
+        self._entries: OrderedDict = OrderedDict()  # key -> (tables, numbers they hold)
+        self._lock = threading.Lock()
+        self.retained = 0
+
+    def get(self, build, *args):
+        key = (build, *args)
+        with self._lock:
+            entry = self._entries.get(key)
+            if entry is not None:
+                self._entries.move_to_end(key)
+                self._evict()
+                return entry[0]
+        tables = build(*args)
+        arrays = tables if isinstance(tables, tuple) else (tables,)
+        for arr in arrays:
+            arr.flags.writeable = False
+        size = sum(arr.size for arr in arrays)
+        with self._lock:
+            if key not in self._entries:
+                self._entries[key] = (tables, size)
+                self.retained += size
+            self._evict()
+        return tables
+
+    def _evict(self) -> None:
+        budget = memory_budget()
+        while self.retained > budget:
+            _, (_, size) = self._entries.popitem(last=False)
+            self.retained -= size
+
+    def clear(self) -> None:
+        with self._lock:
+            self._entries.clear()
+            self.retained = 0
+
+
+_TABLES = _TableStore()
+
+
+def _recon_gathers(d: int, copies: int, variant: str) -> tuple[np.ndarray, ...]:
+    """Per (n, m) at row n*d + m: ancilla source and phase, clone source and phase."""
+    ua, uc = reconstruction_matrices(d, variant)
+    return (
+        *_symmetric_power(*_monomial(ua.reshape(d * d, d, d)), occupations(d, copies - 1)),
+        *_symmetric_power(*_monomial(uc.reshape(d * d, d, d)), occupations(d, copies)),
+    )
+
+
+def _sender(d: int, flow: str) -> np.ndarray:
+    """Sender operator of every branch, indexed (branch, channel P, X)."""
+    if flow == "bell":
+        sender = np.stack([bell_state(d, n, m).amps for n in range(d) for m in range(d)]).conj()
+    else:
+        # GXOR with control P and target X, acting on (X, P); its rows for
+        # X = m are the sender operator of outcome m
+        sender = _swap_factors(gxor_operator(d).matrix, d)
+    # (branch, X, P) -> (branch, P, X), so that sender @ cols contracts X
+    return sender.reshape(d * d, d, d).transpose(0, 2, 1)
+
+
+def _fourier_inv(d: int) -> np.ndarray:
+    return fourier(d).dagger().matrix
+
+
 class _Context:
-    """Input-independent machinery of one configuration: the channel, the
-    sender operator, the filter dilations and the symmetric-coordinate
-    tables.
+    """The machinery of one configuration: the channel, the sender operator,
+    the filter dilations and the symmetric-coordinate tables.
+
+    Tables that depend only on (d, M, flow, reconstruction variant) come
+    from the process-wide store (``_TABLES``) and are read-only; the
+    channel amplitudes, the slice weights and the filter dilations are
+    built per call. The budget is checked on every call, before any table
+    is looked up.
 
     Sender tensors are indexed by the branch (or the physical P), then the
     channel's P index, then the input column. Branch blocks are indexed by
@@ -255,25 +346,17 @@ class _Context:
         check_memory(max(d**3 * self.ac_dims[1], d**5 if filtered else 0))
         # creating value j on ancilla occupation a gives clone occupation
         # raised[j, a], with factor root[j, a]
-        self.raised, self.root = raising(d, m_copies)
+        self.raised, self.root = _TABLES.get(raising, d, m_copies)
         self.anc = np.arange(self.ac_dims[0])
         scale = config.channel.coeffs * math.sqrt(d / (self.ac_dims[1] * m_copies))
         self.chan_amps = scale[:, None] * self.root  # channel slice j at (a, raised[j, a])
         self.weights = config.channel.coeffs**2  # squared norms of the channel's P slices
-        ua, uc = reconstruction_matrices(d, config.recon_variant)
-        # per (n, m) at row n*d + m: ancilla source and phase, clone source and phase
-        self.recon = (
-            *_symmetric_power(*_monomial(ua.reshape(d * d, d, d)), occupations(d, m_copies - 1)),
-            *_symmetric_power(*_monomial(uc.reshape(d * d, d, d)), occupations(d, m_copies)),
-        )
+        self.recon = _TABLES.get(_recon_gathers, d, m_copies, config.recon_variant)
+        self.sender = _TABLES.get(_sender, d, config.flow)
         if config.flow == "bell":
             self.bell_order = [(n, m) for n in range(d) for m in range(d)]
-            sender = np.stack([bell_state(d, n, m).amps for n, m in self.bell_order]).conj()
         else:
-            # GXOR with control P and target X, acting on (X, P); its rows for
-            # X = m are the sender operator of outcome m
-            sender = _swap_factors(gxor_operator(d).matrix, d)
-            self.fourier_inv = fourier(d).dagger().matrix
+            self.fourier_inv = _TABLES.get(_fourier_inv, d)
             kind = config.strategy.kind
             self.flag_unitaries = None
             if kind == "usd":
@@ -294,8 +377,6 @@ class _Context:
                 "maxconf": ("success", "inconclusive"),
             }.get(kind)
             self.plain_flag = "guess" if kind == "minerror" else None
-        # (branch, X, P) -> (branch, P, X), so that sender @ cols contracts X
-        self.sender = sender.reshape(d * d, d, d).transpose(0, 2, 1)
 
     def lift(self, core: np.ndarray) -> np.ndarray:
         """Contract a (channel P, K) sender slice with the channel: shape (AC, K).
@@ -440,7 +521,7 @@ def clone_marginal(branch: BranchResult, clone_index: int = 0) -> DensityMatrix:
         raise ValueError("branch has no post-state (zero probability or states not kept)")
     if not 0 <= clone_index < state.copies:
         raise ValueError(f"clone index {clone_index} out of range for M={state.copies}")
-    lowered = _lowered(state.amps[:, :, None], *raising(state.d, state.copies))[..., 0]
+    lowered = _lowered(state.amps[:, :, None], *_TABLES.get(raising, state.d, state.copies))[..., 0]
     rows = lowered.transpose(1, 0, 2).reshape(state.d, -1)
     rho = rows @ rows.conj().T / state.copies
     return DensityMatrix((state.d,), (f"C{clone_index + 1}",), rho)

@@ -217,9 +217,14 @@ class Channel:
         coeffs = np.ascontiguousarray(self.coeffs, dtype=np.float64)
         if coeffs.ndim != 1 or coeffs.size < 2:
             raise ValueError("channel needs at least two coefficients")
+        if not np.all(np.isfinite(coeffs)):
+            raise ValueError("channel coefficients must be finite")
         if np.any(coeffs < 0):
             raise ValueError("channel coefficients must be non-negative")
-        nrm = np.linalg.norm(coeffs)
+        with np.errstate(over="ignore"):
+            nrm = np.linalg.norm(coeffs)
+        if not math.isfinite(nrm):
+            raise ValueError("the norm of the channel coefficients overflows")
         if nrm == 0:
             raise ValueError("channel coefficients are all zero")
         if abs(nrm - 1.0) > RENORM_WARN:

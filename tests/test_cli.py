@@ -14,7 +14,7 @@ from qtc.cli import (
     load_report,
     main,
 )
-from qtc import protocol
+from qtc import cli, protocol
 from qtc.protocol import run_exact
 
 
@@ -144,15 +144,30 @@ class TestRoundTrip:
         assert config.d == doc["config"]["d"]
         assert config.flow == doc["config"]["flow"]
 
-    def test_reruns_are_byte_identical(self, capsys):
+    @pytest.mark.parametrize(
+        "between",
+        [(), ("simulate", "--d", "x"), ("haar", "--help"), ("--version",), ("sweep", "--d", "abc")],
+        ids=["rerun", "after-usage-error", "after-help", "after-version", "after-command-error"],
+    )
+    def test_reruns_are_byte_identical(self, capsys, between):
+        # main reuses one parser across calls; a fresh one must give the same bytes
         argv = [
             "simulate", "--d", "2", "--channel", "c=[0.894427191,0.4472135955]",
             "--strategy", "usd", "--input", "0.6,0.8",
         ]
-        code1, out1, _ = run_cli(capsys, *argv)
-        code2, out2, _ = run_cli(capsys, *argv)
-        assert (code1, out1) == (code2, out2)
-        assert out1
+        cli._shared_parser.cache_clear()
+        first = run_cli(capsys, *argv)
+        if between:
+            main(list(between))
+            capsys.readouterr()
+        second = run_cli(capsys, *argv)
+        assert first == second
+        assert first[1] and first[0] == 0
+        if between:
+            again = (main(list(between)), *capsys.readouterr())
+            cli._shared_parser.cache_clear()
+            assert (main(list(between)), *capsys.readouterr()) == again
+        assert cli.build_parser() is not cli.build_parser()
 
 
 class TestSweep:
@@ -387,8 +402,26 @@ class TestErrors:
             (("haar", "--frobnicate"), "--frobnicate"),
             (("haar", "--input", "haar:-3:10"), "--input: haar seed"),
             (("haar", "--input", "haar:1:0"), "--input: haar sample count"),
+            (("sweep", "--d", "2", "--channel", "c=[0.6,0.8]", "--m-copies", "0"), "--m-copies"),
+            (("sweep", "--d", "abc"), "--d"),
+            (("sweep", "--d", "2..x"), "--d"),
+            (("sweep", "--channel", "cmin2=[a]"), "--channel"),
+            (("sweep", "--channel", "cmin2=[0.1..0.2:-3]"), "--channel"),
+            (("sweep", "--d", "2", "--channel", "c=[0.6,nan]"), "--channel"),
+            (("simulate", "--input", "1,nan"), "--input"),
+            (("simulate", "--input", "inf,0"), "--input"),
+            (("simulate", "--input", "1e308,1e308"), "--input"),
+            (("simulate", "--channel", "c=[1,nan]"), "--channel"),
+            (("simulate", "--channel", "c=[1e308,1e308]"), "--channel"),
+            (("simulate", "--tol", "nan"), "--tol"),
+            (("simulate", "--tol", "-1"), "--tol"),
         ],
-        ids=["removed-seed", "bad-int", "unknown-flag", "negative-haar-seed", "no-haar-samples"],
+        ids=[
+            "removed-seed", "bad-int", "unknown-flag", "negative-haar-seed", "no-haar-samples",
+            "sweep-no-clones", "sweep-bad-d", "sweep-bad-d-range", "sweep-bad-cmin2",
+            "sweep-negative-cmin2-steps", "sweep-nan-channel", "nan-input", "inf-input",
+            "overflowing-input", "nan-channel", "overflowing-channel", "nan-tol", "negative-tol",
+        ],
     )
     def test_usage_error_is_one_line(self, capsys, argv, needle):
         code, out, err = run_cli(capsys, *argv)

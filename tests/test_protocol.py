@@ -803,6 +803,90 @@ class TestEngineSteps:
             run_exact(cfg)
 
 
+class TestSharedTables:
+    """The channel-independent tables that every call of one shape shares."""
+
+    @staticmethod
+    def _tables(ctx):
+        arrays = [ctx.raised, ctx.root, *ctx.recon, ctx.sender]
+        return arrays + ([ctx.fourier_inv] if ctx.config.flow == "gxor" else [])
+
+    @pytest.mark.parametrize("flow,strategy", [("bell", Strategy.none()), ("gxor", Strategy.usd())])
+    def test_tables_are_read_only_and_shared(self, flow, strategy):
+        contexts = [
+            protocol._Context(ProtocolConfig(channel=chan, copies=3, flow=flow, strategy=strategy))
+            for chan in (CHAN532, Channel(np.sqrt([0.6, 0.3, 0.1])))
+        ]
+        for first, second in zip(*(self._tables(ctx) for ctx in contexts)):
+            assert first is second
+            with pytest.raises(ValueError, match="read-only"):
+                first[(0,) * first.ndim] = 0
+
+    @pytest.mark.parametrize("flow,strategy", [("bell", Strategy.none()), ("gxor", Strategy.usd())])
+    def test_warm_runs_equal_cold_runs(self, flow, strategy):
+        rng = np.random.default_rng(5)
+        configs = [
+            ProtocolConfig(channel=random_channel(3, rng), copies=3, flow=flow, strategy=strategy)
+            for _ in range(2)
+        ]
+        psi = random_state(3, rng)
+
+        def outputs():
+            numbers, arrays = [], []
+            for cfg in configs:
+                rep = run_exact(cfg, psi)
+                haar = haar_average(replace(cfg, input_spec=HaarSpec(seed=9, samples=20)))
+                for r in (rep, haar):
+                    numbers.append([(b.probability, b.clone_fidelities) for b in r.branches])
+                numbers.append((haar.haar.overall_mean, haar.haar.overall_stderr, haar.haar.class_stats))
+                for b in rep.branches:
+                    if not b.zero:
+                        arrays += [b.ac_state.amps, clone_marginal(b).matrix]
+            return numbers, arrays
+
+        outputs()
+        warm_numbers, warm_arrays = outputs()
+        protocol._TABLES.clear()
+        cold_numbers, cold_arrays = outputs()
+        assert warm_numbers == cold_numbers
+        assert len(warm_arrays) == len(cold_arrays)
+        assert all(np.array_equal(a, b) for a, b in zip(warm_arrays, cold_arrays))
+
+    def test_budget_checked_on_every_call(self, monkeypatch):
+        cfg = ProtocolConfig(channel=CHAN532, copies=3, input_spec=state([1, 0, 0]))
+        run_exact(cfg)  # the shape is stored now
+        # the reconstruction gathers of d=3, M=3 need 270 amplitudes
+        monkeypatch.setenv("QTC_MEM_BUDGET", "269")
+        with pytest.raises(MemoryBudgetError, match="270 amplitudes"):
+            run_exact(cfg)
+
+    def test_retained_tables_stay_within_budget(self, monkeypatch):
+        budget = 5000
+        monkeypatch.setenv("QTC_MEM_BUDGET", str(budget))
+        protocol._TABLES.clear()
+        built = {}  # every distinct table handed out, by id (kept alive here)
+        for copies in range(1, 9):
+            for flow, strategy in (("bell", Strategy.none()), ("gxor", Strategy.usd())):
+                cfg = ProtocolConfig(
+                    channel=CHAN532, copies=copies, flow=flow, strategy=strategy,
+                    input_spec=state([1, 2, 3]),
+                )
+                built.update((id(t), t) for t in self._tables(protocol._Context(cfg)))
+                assert run_exact(cfg).total_probability() == pytest.approx(1.0, abs=1e-12)
+                assert protocol._TABLES.retained <= budget
+        assert sum(t.size for t in built.values()) > budget  # so the loop evicted
+        # at d=3, M=8 the reconstruction gathers (1458 entries) outgrow a budget
+        # that the compile's check (27 * D_8 = 1215) lets through; they are not kept
+        monkeypatch.setenv("QTC_MEM_BUDGET", "1215")
+        ctx = protocol._Context(ProtocolConfig(channel=CHAN532, copies=8))
+        assert sum(t.size for t in ctx.recon) == 1458
+        assert protocol._TABLES.retained <= 1215
+        # lowering the budget drops what no longer fits on the next lookup
+        monkeypatch.setenv("QTC_MEM_BUDGET", "100")
+        protocol._Context(ProtocolConfig(channel=CHAN82, copies=1))
+        assert protocol._TABLES.retained <= 100
+
+
 class TestReach:
     """Sizes whose dense register would hold 2^129 or 3^33 amplitudes."""
 
