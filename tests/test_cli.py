@@ -144,30 +144,37 @@ class TestRoundTrip:
         assert config.d == doc["config"]["d"]
         assert config.flow == doc["config"]["flow"]
 
-    @pytest.mark.parametrize(
-        "between",
-        [(), ("simulate", "--d", "x"), ("haar", "--help"), ("--version",), ("sweep", "--d", "abc")],
-        ids=["rerun", "after-usage-error", "after-help", "after-version", "after-command-error"],
+    RERUN_ARGV = (
+        "simulate", "--d", "2", "--channel", "c=[0.894427191,0.4472135955]",
+        "--strategy", "usd", "--input", "0.6,0.8",
     )
-    def test_reruns_are_byte_identical(self, capsys, between):
+
+    def test_reruns_are_byte_identical(self, capsys):
         # main reuses one parser across calls; a fresh one must give the same bytes
-        argv = [
-            "simulate", "--d", "2", "--channel", "c=[0.894427191,0.4472135955]",
-            "--strategy", "usd", "--input", "0.6,0.8",
-        ]
         cli._shared_parser.cache_clear()
-        first = run_cli(capsys, *argv)
-        if between:
-            main(list(between))
-            capsys.readouterr()
-        second = run_cli(capsys, *argv)
+        first = run_cli(capsys, *self.RERUN_ARGV)
+        second = run_cli(capsys, *self.RERUN_ARGV)
         assert first == second
         assert first[1] and first[0] == 0
-        if between:
-            again = (main(list(between)), *capsys.readouterr())
-            cli._shared_parser.cache_clear()
-            assert (main(list(between)), *capsys.readouterr()) == again
         assert cli.build_parser() is not cli.build_parser()
+
+    @pytest.mark.parametrize(
+        "between",
+        [("simulate", "--d", "x"), ("haar", "--help"), ("--version",), ("sweep", "--d", "abc")],
+        ids=["after-usage-error", "after-help", "after-version", "after-command-error"],
+    )
+    def test_reruns_are_byte_identical_after(self, capsys, between):
+        # a call that exits early must leave nothing behind in the shared parser
+        cli._shared_parser.cache_clear()
+        first = run_cli(capsys, *self.RERUN_ARGV)
+        main(list(between))
+        capsys.readouterr()
+        second = run_cli(capsys, *self.RERUN_ARGV)
+        assert first == second
+        assert first[1] and first[0] == 0
+        again = (main(list(between)), *capsys.readouterr())
+        cli._shared_parser.cache_clear()
+        assert (main(list(between)), *capsys.readouterr()) == again
 
 
 class TestSweep:
